@@ -1,12 +1,9 @@
 //! Shared helpers for the criterion benches.
 //!
-//! Every bench regenerates its table/figure's series once at reduced
-//! ([`Scale::bench`]) scale — so `cargo bench` reproduces the paper's rows
-//! — and then measures the wall-clock cost of the underlying simulation
-//! runs at [`Scale::test`] scale.
-//!
-//! [`Scale::bench`]: lasmq_experiments::Scale::bench
-//! [`Scale::test`]: lasmq_experiments::Scale::test
+//! The paper's tables and figures are printed by `repro <fig> --quick`;
+//! the benches time the engine and its harnesses. `ablation_extensions`
+//! additionally prints the engine-policies table, which no `repro`
+//! subcommand reproduces.
 
 use std::sync::Once;
 

@@ -16,8 +16,10 @@ use crate::workload::WorkloadSpec;
 /// v3: setups carry `check_invariants` and verified reports embed an
 /// invariant section, so v2 entries describe neither.
 ///
-/// v4: reports carry `EngineStats::events_processed` and setups carry
-/// `full_rebuild_passes`, so v3 entries lack both fields.
+/// v4: reports carry `EngineStats::events_processed`, so v3 entries lack
+/// it. Adding or dropping a setup field needs no bump: the serialized
+/// setup is hashed into the fingerprint, so entries written under the old
+/// shape simply miss.
 pub const CACHE_SCHEMA_VERSION: u32 = 4;
 
 /// One unit of campaign work: run `workload` under `scheduler` in

@@ -28,18 +28,6 @@ pub struct SimSetup {
     /// they must not share cache entries with unverified ones.
     #[serde(default)]
     check_invariants: bool,
-    /// Whether runs disable the engine's incremental scheduling passes and
-    /// rebuild every job view each pass (the pre-incremental code path,
-    /// kept for A/B byte-identity checks). Part of the fingerprint out of
-    /// caution, though both modes produce identical reports.
-    #[serde(default)]
-    full_rebuild_passes: bool,
-    /// Whether runs use the legacy binary-heap event-queue backend instead
-    /// of the calendar queue (kept for A/B byte-identity checks). Part of
-    /// the fingerprint out of caution, though both backends produce
-    /// identical reports.
-    #[serde(default)]
-    heap_event_queue: bool,
 }
 
 impl SimSetup {
@@ -55,8 +43,6 @@ impl SimSetup {
             failures: FailureConfig::disabled(),
             record_telemetry: false,
             check_invariants: false,
-            full_rebuild_passes: false,
-            heap_event_queue: false,
         }
     }
 
@@ -72,8 +58,6 @@ impl SimSetup {
             failures: FailureConfig::disabled(),
             record_telemetry: false,
             check_invariants: false,
-            full_rebuild_passes: false,
-            heap_event_queue: false,
         }
     }
 
@@ -155,22 +139,6 @@ impl SimSetup {
         self.check_invariants
     }
 
-    /// Forces (or lifts) full per-pass view rebuilds for runs of this
-    /// setup (see `lasmq_simulator::SimulationBuilder::full_rebuild_passes`)
-    /// — the reference mode for incremental-vs-full A/B equality tests.
-    pub fn full_rebuild_passes(mut self, full_rebuild: bool) -> Self {
-        self.full_rebuild_passes = full_rebuild;
-        self
-    }
-
-    /// Runs this setup on the legacy binary-heap event-queue backend (see
-    /// `lasmq_simulator::SimulationBuilder::heap_event_queue`) — the
-    /// reference mode for calendar-vs-heap A/B equality checks.
-    pub fn heap_event_queue(mut self, heap: bool) -> Self {
-        self.heap_event_queue = heap;
-        self
-    }
-
     /// The configured cluster.
     pub fn cluster_config(&self) -> ClusterConfig {
         self.cluster
@@ -210,8 +178,6 @@ impl SimSetup {
             .expose_oracle(kind.requires_oracle())
             .record_telemetry(self.record_telemetry)
             .check_invariants(self.check_invariants)
-            .full_rebuild_passes(self.full_rebuild_passes)
-            .heap_event_queue(self.heap_event_queue)
             .jobs(jobs)
             .admission_opt(self.admission_limit)
             .build(kind.build())
@@ -242,8 +208,6 @@ impl SimSetup {
             .expose_oracle(requires_oracle)
             .record_telemetry(self.record_telemetry)
             .check_invariants(self.check_invariants)
-            .full_rebuild_passes(self.full_rebuild_passes)
-            .heap_event_queue(self.heap_event_queue)
             .jobs(jobs)
             .admission_opt(self.admission_limit)
             .build(scheduler)
@@ -298,6 +262,16 @@ mod tests {
         let report = SimSetup::trace_sim().run(jobs, &SchedulerKind::las_mq_simulations());
         assert!(report.all_completed());
         assert_eq!(report.scheduler(), "LAS_MQ");
+    }
+
+    #[test]
+    fn setups_carrying_retired_keys_still_load() {
+        // Setups serialized before a field was dropped keep its key.
+        let setup = SimSetup::trace_sim();
+        let json = serde_json::to_string(&setup).expect("setup serializes");
+        let old = json.replacen('{', r#"{"retired_switch":false,"#, 1);
+        let back: SimSetup = serde_json::from_str(&old).expect("unknown keys are ignored");
+        assert_eq!(back, setup);
     }
 
     #[test]

@@ -4,22 +4,19 @@
 //! monotonically increasing sequence number breaks ties), which makes every
 //! simulation run a pure function of its inputs and seed.
 //!
-//! # Queue backends
+//! # The calendar queue
 //!
-//! The default backend is a hierarchical timing wheel (a calendar queue):
-//! three 256-slot levels of 1 ms / 256 ms / 65.536 s granularity plus an
+//! The queue is a hierarchical timing wheel (a calendar queue): three
+//! 256-slot levels of 1 ms / 256 ms / 65.536 s granularity plus an
 //! unsorted overflow list for events beyond the ~4.66 h horizon. Pushes and
 //! pops are O(1) amortized — each event is relocated at most three times as
-//! the cursor advances — where the former `BinaryHeap` paid O(log n) per
-//! operation on heaps that hold every pending arrival of a trace (24k+
-//! entries for the Facebook trace, 1M+ for the million-job workload).
-//!
-//! The heap backend is retained behind [`EventQueue::new_heap`] so A/B
-//! byte-identity suites can pit the two implementations against each other;
-//! both deliver the exact same (time, insertion-seq) order.
+//! the cursor advances — where a binary heap pays O(log n) per operation on
+//! a queue that holds every pending arrival of a trace (24k+ entries for
+//! the Facebook trace, 1M+ for the million-job workload). The (time,
+//! insertion-seq) delivery order is checked against a sorted model in this
+//! module's tests.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -67,29 +64,6 @@ pub struct EventEntry {
     pub event: Event,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-// BinaryHeap is a max-heap; invert the ordering to pop earliest first.
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// Slots per wheel level (and the shift between adjacent levels).
 const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
@@ -99,7 +73,7 @@ const BITMAP_WORDS: usize = SLOTS / 64;
 /// One wheel level: 256 slots, an occupancy bitmap, and a live-entry count.
 #[derive(Debug, Default)]
 struct Level {
-    slots: Vec<Vec<Entry>>,
+    slots: Vec<Vec<EventEntry>>,
     bits: [u64; BITMAP_WORDS],
     len: usize,
 }
@@ -113,7 +87,7 @@ impl Level {
         }
     }
 
-    fn push(&mut self, slot: usize, e: Entry) {
+    fn push(&mut self, slot: usize, e: EventEntry) {
         self.slots[slot].push(e);
         self.bits[slot / 64] |= 1u64 << (slot % 64);
         self.len += 1;
@@ -121,7 +95,7 @@ impl Level {
 
     /// Moves the slot's entries out, leaving an empty (capacity-preserving)
     /// buffer behind, and clears its occupancy bit.
-    fn take_slot(&mut self, slot: usize, into: &mut Vec<Entry>) {
+    fn take_slot(&mut self, slot: usize, into: &mut Vec<EventEntry>) {
         debug_assert!(into.is_empty());
         std::mem::swap(into, &mut self.slots[slot]);
         self.bits[slot / 64] &= !(1u64 << (slot % 64));
@@ -154,26 +128,28 @@ fn next_set_bit(bits: &[u64; BITMAP_WORDS], from: usize) -> Option<usize> {
 ///
 /// * `batch` holds exactly the entries at time `cur` (the front of the
 ///   queue), served from `batch_head` in seq order;
-/// * the `past` heap holds entries pushed at times `< cur` (possible after
+/// * the `past` map holds entries pushed at times `< cur` (possible after
 ///   the cursor advanced ahead of a caller's clock — e.g. restored runs
-///   re-submitting at the restore time);
+///   re-submitting at the restore time), ordered by (time, seq);
 /// * wheel levels and `overflow` hold only entries at times `> cur`, placed
 ///   window-aligned: level 0 shares `cur`'s 256 ms window, level 1 its
 ///   65.536 s window, level 2 its ~4.66 h window, `overflow` the rest;
 /// * whenever the queue is non-empty its minimum entry is materialized in
-///   `batch` or `past`, so `peek_time` is `&self` and O(1).
+///   `batch` or `past`, so `peek_time` is `&self` and O(1) (O(log n) when
+///   `past` is non-empty).
 #[derive(Debug)]
 struct CalendarQueue {
     levels: [Level; 3],
-    overflow: Vec<Entry>,
-    past: BinaryHeap<Entry>,
-    batch: Vec<Entry>,
+    overflow: Vec<EventEntry>,
+    /// Keyed by (time, seq), so its first entry is the earliest.
+    past: BTreeMap<(SimTime, u64), Event>,
+    batch: Vec<EventEntry>,
     batch_head: usize,
     /// Time of the current batch; the wheel cursor.
     cur: u64,
     len: usize,
     /// Recycled spare buffer for the overflow re-partition.
-    spare: Vec<Entry>,
+    spare: Vec<EventEntry>,
 }
 
 impl Default for CalendarQueue {
@@ -181,7 +157,7 @@ impl Default for CalendarQueue {
         CalendarQueue {
             levels: [Level::new(), Level::new(), Level::new()],
             overflow: Vec::new(),
-            past: BinaryHeap::new(),
+            past: BTreeMap::new(),
             batch: Vec::new(),
             batch_head: 0,
             cur: 0,
@@ -202,7 +178,7 @@ impl CalendarQueue {
         (self.batch.len() - self.batch_head) + self.past.len()
     }
 
-    fn push(&mut self, e: Entry) {
+    fn push(&mut self, e: EventEntry) {
         self.len += 1;
         self.place(e);
         if self.front_len() == 0 {
@@ -214,12 +190,12 @@ impl CalendarQueue {
 
     /// Routes one entry to the structure that owns its time, relative to
     /// the current cursor.
-    fn place(&mut self, e: Entry) {
+    fn place(&mut self, e: EventEntry) {
         let t = e.at.as_millis();
         if t == self.cur {
             self.batch.push(e);
         } else if t < self.cur {
-            self.past.push(e);
+            self.push_past(e);
         } else if t >> SLOT_BITS == self.cur >> SLOT_BITS {
             self.levels[0].push((t & 0xFF) as usize, e);
         } else if t >> (2 * SLOT_BITS) == self.cur >> (2 * SLOT_BITS) {
@@ -231,19 +207,19 @@ impl CalendarQueue {
         }
     }
 
-    fn peek(&self) -> Option<&Entry> {
+    fn peek_time(&self) -> Option<SimTime> {
         // Everything in `past` is strictly earlier than the batch (and the
         // batch strictly earlier than the wheel), so the order of these
         // checks is the delivery order.
-        if let Some(e) = self.past.peek() {
-            return Some(e);
+        if !self.past.is_empty() {
+            return Some(self.past_front_time());
         }
-        self.batch.get(self.batch_head)
+        self.batch.get(self.batch_head).map(|e| e.at)
     }
 
-    fn pop(&mut self) -> Option<Entry> {
-        let e = if let Some(e) = self.past.pop() {
-            e
+    fn pop(&mut self) -> Option<EventEntry> {
+        let e = if !self.past.is_empty() {
+            self.pop_past()
         } else if let Some(&e) = self.batch.get(self.batch_head) {
             self.batch_head += 1;
             e
@@ -256,6 +232,30 @@ impl CalendarQueue {
             self.advance_wheel();
         }
         Some(e)
+    }
+
+    // Entries reach `past` only when a caller pushes behind the cursor (a
+    // restored or live run submitting at its clock, a task finishing before
+    // the next pending event), so its accessors stay out of line and keep
+    // `push`/`pop`/`peek_time` small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn push_past(&mut self, e: EventEntry) {
+        self.past.insert((e.at, e.seq), e.event);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn past_front_time(&self) -> SimTime {
+        let (&(at, _), _) = self.past.first_key_value().expect("past is non-empty");
+        at
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn pop_past(&mut self) -> EventEntry {
+        let ((at, seq), event) = self.past.pop_first().expect("past is non-empty");
+        EventEntry { at, seq, event }
     }
 
     /// Moves the cursor to the earliest non-empty wheel position and loads
@@ -342,41 +342,19 @@ impl CalendarQueue {
     }
 
     fn snapshot_into(&self, out: &mut Vec<EventEntry>) {
-        out.extend(self.past.iter().map(|e| EventEntry {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        }));
-        out.extend(self.batch[self.batch_head..].iter().map(|e| EventEntry {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        }));
+        out.extend(
+            self.past
+                .iter()
+                .map(|(&(at, seq), &event)| EventEntry { at, seq, event }),
+        );
+        out.extend_from_slice(&self.batch[self.batch_head..]);
         for level in &self.levels {
             for slot in &level.slots {
-                out.extend(slot.iter().map(|e| EventEntry {
-                    at: e.at,
-                    seq: e.seq,
-                    event: e.event,
-                }));
+                out.extend_from_slice(slot);
             }
         }
-        out.extend(self.overflow.iter().map(|e| EventEntry {
-            at: e.at,
-            seq: e.seq,
-            event: e.event,
-        }));
+        out.extend_from_slice(&self.overflow);
     }
-}
-
-/// Which implementation backs an [`EventQueue`].
-#[derive(Debug)]
-// One instance per simulation, so the wheels' fixed footprint is fine
-// to carry inline even though the heap variant is a slim pointer.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Calendar(CalendarQueue),
-    Heap(BinaryHeap<Entry>),
 }
 
 /// A deterministic time-ordered event queue.
@@ -394,76 +372,39 @@ enum Backend {
 /// assert_eq!(at, SimTime::from_secs(1));
 /// assert!(matches!(event, Event::JobArrival { .. }));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct EventQueue {
-    backend: Backend,
+    queue: CalendarQueue,
     next_seq: u64,
 }
 
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue {
-            backend: Backend::Calendar(CalendarQueue::default()),
-            next_seq: 0,
-        }
-    }
-}
-
 impl EventQueue {
-    /// An empty queue on the default timing-wheel backend.
+    /// An empty queue.
     pub fn new() -> Self {
         EventQueue::default()
-    }
-
-    /// An empty queue on the legacy binary-heap backend. Kept for A/B
-    /// byte-identity testing against the timing wheel; delivery order is
-    /// identical, only the per-operation cost differs.
-    pub fn new_heap() -> Self {
-        EventQueue {
-            backend: Backend::Heap(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Whether this queue runs on the legacy binary-heap backend.
-    pub fn is_heap_backend(&self) -> bool {
-        matches!(self.backend, Backend::Heap(_))
     }
 
     /// Schedules `event` at time `at`.
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Calendar(cal) => cal.push(entry),
-            Backend::Heap(heap) => heap.push(entry),
-        }
+        self.queue.push(EventEntry { at, seq, event });
     }
 
     /// Removes and returns the earliest event, breaking timestamp ties by
     /// insertion order.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match &mut self.backend {
-            Backend::Calendar(cal) => cal.pop().map(|e| (e.at, e.event)),
-            Backend::Heap(heap) => heap.pop().map(|e| (e.at, e.event)),
-        }
+        self.queue.pop().map(|e| (e.at, e.event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(cal) => cal.peek().map(|e| e.at),
-            Backend::Heap(heap) => heap.peek().map(|e| e.at),
-        }
+        self.queue.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(cal) => cal.len(),
-            Backend::Heap(heap) => heap.len(),
-        }
+        self.queue.len()
     }
 
     /// Whether no events are pending.
@@ -482,42 +423,26 @@ impl EventQueue {
     /// [`snapshot_entries`](Self::snapshot_entries) into a caller-owned
     /// buffer, so repeated snapshots (e.g. the engine's sampled
     /// snapshot-fidelity check) reuse one allocation instead of cloning the
-    /// backend into a fresh `Vec` each time. `(at, seq)` pairs are unique,
+    /// queue into a fresh `Vec` each time. `(at, seq)` pairs are unique,
     /// so the unstable sort is deterministic.
     pub fn snapshot_entries_into(&self, out: &mut Vec<EventEntry>) {
         out.clear();
-        match &self.backend {
-            Backend::Calendar(cal) => cal.snapshot_into(out),
-            Backend::Heap(heap) => out.extend(heap.iter().map(|e| EventEntry {
-                at: e.at,
-                seq: e.seq,
-                event: e.event,
-            })),
-        }
+        self.queue.snapshot_into(out);
         out.sort_unstable_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
     }
 
     /// Rebuilds a queue from snapshotted entries, preserving the original
     /// sequence numbers (so restored tie-breaking matches the original run)
-    /// and the next sequence number to hand out. The restored queue runs on
-    /// the default timing-wheel backend regardless of which backend
-    /// produced the snapshot — the two deliver identical orders.
+    /// and the next sequence number to hand out.
     pub fn from_snapshot(mut entries: Vec<EventEntry>, next_seq: u64) -> Self {
         // Snapshot writers emit delivery order already; sort defensively so
         // per-slot FIFO order holds for any caller.
         entries.sort_unstable_by(|a, b| a.at.cmp(&b.at).then_with(|| a.seq.cmp(&b.seq)));
-        let mut cal = CalendarQueue::default();
+        let mut queue = CalendarQueue::default();
         for e in entries {
-            cal.push(Entry {
-                at: e.at,
-                seq: e.seq,
-                event: e.event,
-            });
+            queue.push(e);
         }
-        EventQueue {
-            backend: Backend::Calendar(cal),
-            next_seq,
-        }
+        EventQueue { queue, next_seq }
     }
 
     /// The sequence number the next [`push`](EventQueue::push) will use.
@@ -570,7 +495,7 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
-    /// Cheap deterministic pseudo-random stream for the differential tests.
+    /// Cheap deterministic pseudo-random stream for the randomized tests.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = *state;
@@ -579,26 +504,31 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The wheel and the heap must agree pop-for-pop on arbitrary
-    /// interleavings of pushes and pops, including times that land in
-    /// every level and the overflow, and times equal to / before the
-    /// current cursor.
+    /// The queue must agree pop-for-pop with a sorted-`Vec` model of the
+    /// (time, seq) order on arbitrary interleavings of pushes and pops,
+    /// including times that land in every level and the overflow, and
+    /// times equal to / before the current cursor.
     #[test]
-    fn wheel_matches_heap_on_random_interleavings() {
+    fn queue_matches_sorted_model_on_random_interleavings() {
         for seed in 0..8u64 {
             let mut rng = seed.wrapping_mul(0xA076_1D64_78BD_642F) + 1;
-            let mut wheel = EventQueue::new();
-            let mut heap = EventQueue::new_heap();
-            assert!(heap.is_heap_backend());
-            assert!(!wheel.is_heap_backend());
+            let mut q = EventQueue::new();
+            // (time ms, seq) ascending; each event carries its seq as a job
+            // id so the model also checks which event comes out.
+            let mut model: Vec<(u64, u64)> = Vec::new();
             let mut low_water = 0u64; // last popped time: pushes stay >= it
             for _ in 0..4_000 {
                 let roll = splitmix(&mut rng);
-                if roll.is_multiple_of(3) && !wheel.is_empty() {
-                    let a = wheel.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "seed {seed}");
-                    low_water = a.unwrap().0.as_millis();
+                if roll.is_multiple_of(3) && !model.is_empty() {
+                    let (t, seq) = model.remove(0);
+                    let want = (
+                        SimTime::from_millis(t),
+                        Event::JobArrival {
+                            job: JobId::new(seq as u32),
+                        },
+                    );
+                    assert_eq!(q.pop(), Some(want), "seed {seed}");
+                    low_water = t;
                 } else {
                     // Mix near-future (level 0/1), far-future (level 2 /
                     // overflow) and exactly-now times.
@@ -609,23 +539,40 @@ mod tests {
                         3 => splitmix(&mut rng) % 0x100_0000,
                         _ => splitmix(&mut rng) % 0x4000_0000,
                     };
-                    let at = SimTime::from_millis(low_water + span);
-                    wheel.push(at, Event::Tick);
-                    heap.push(at, Event::Tick);
+                    let t = low_water + span;
+                    let seq = q.next_seq();
+                    q.push(
+                        SimTime::from_millis(t),
+                        Event::JobArrival {
+                            job: JobId::new(seq as u32),
+                        },
+                    );
+                    let at = model.partition_point(|&k| k < (t, seq));
+                    model.insert(at, (t, seq));
                 }
-                assert_eq!(wheel.len(), heap.len());
-                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(q.len(), model.len());
+                assert_eq!(
+                    q.peek_time(),
+                    model.first().map(|&(t, _)| SimTime::from_millis(t))
+                );
             }
-            while let Some(a) = wheel.pop() {
-                assert_eq!(Some(a), heap.pop(), "seed {seed}");
+            for (t, seq) in model.drain(..) {
+                let (at, event) = q.pop().expect("model still holds entries");
+                assert_eq!(at.as_millis(), t, "seed {seed}");
+                assert_eq!(
+                    event,
+                    Event::JobArrival {
+                        job: JobId::new(seq as u32)
+                    }
+                );
             }
-            assert!(heap.is_empty());
+            assert!(q.is_empty());
         }
     }
 
     /// Pushes earlier than the cursor (possible when a restored run
     /// re-submits at the restore clock) are delivered first, in (time, seq)
-    /// order, exactly as the heap would.
+    /// order.
     #[test]
     fn past_pushes_are_delivered_first() {
         let mut q = EventQueue::new();
@@ -650,38 +597,31 @@ mod tests {
     }
 
     /// Snapshotting mid-drain and restoring must preserve both the pending
-    /// set (with original seqs) and the next seq to hand out, on both
-    /// backends.
+    /// set (with original seqs) and the next seq to hand out.
     #[test]
     fn snapshot_round_trip_preserves_order_and_seqs() {
-        for heap in [false, true] {
-            let mut q = if heap {
-                EventQueue::new_heap()
-            } else {
-                EventQueue::new()
-            };
-            let mut rng = 7u64;
-            for _ in 0..500 {
-                let at = SimTime::from_millis(splitmix(&mut rng) % 2_000_000);
-                q.push(at, Event::Tick);
-            }
-            for _ in 0..120 {
-                q.pop().unwrap();
-            }
-            let entries = q.snapshot_entries();
-            assert_eq!(entries.len(), q.len());
-            let mut restored = EventQueue::from_snapshot(entries.clone(), q.next_seq());
-            assert_eq!(restored.next_seq(), q.next_seq());
-            assert_eq!(restored.len(), q.len());
-            // Snapshot order is delivery order.
-            for want in &entries {
-                let (at, event) = restored.pop().unwrap();
-                assert_eq!((at, event), (want.at, want.event));
-                let (at, event) = q.pop().unwrap();
-                assert_eq!((at, event), (want.at, want.event));
-            }
-            assert!(restored.is_empty());
+        let mut q = EventQueue::new();
+        let mut rng = 7u64;
+        for _ in 0..500 {
+            let at = SimTime::from_millis(splitmix(&mut rng) % 2_000_000);
+            q.push(at, Event::Tick);
         }
+        for _ in 0..120 {
+            q.pop().unwrap();
+        }
+        let entries = q.snapshot_entries();
+        assert_eq!(entries.len(), q.len());
+        let mut restored = EventQueue::from_snapshot(entries.clone(), q.next_seq());
+        assert_eq!(restored.next_seq(), q.next_seq());
+        assert_eq!(restored.len(), q.len());
+        // Snapshot order is delivery order.
+        for want in &entries {
+            let (at, event) = restored.pop().unwrap();
+            assert_eq!((at, event), (want.at, want.event));
+            let (at, event) = q.pop().unwrap();
+            assert_eq!((at, event), (want.at, want.event));
+        }
+        assert!(restored.is_empty());
     }
 
     /// A queue that jumps across several overflow windows (multi-day gaps)

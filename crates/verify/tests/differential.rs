@@ -14,16 +14,19 @@
 //! missed dirty queue or demand-sum drift shows up as a trace divergence
 //! or a `check_consistency` violation. The same-instant-arrival and 1 ms
 //! task scenarios exist precisely to stress the change-tracking corner
-//! cases. (The incremental-vs-full-rebuild byte-identity A/B lives in
-//! `lasmq-simulator/tests/incremental_identity.rs` and
-//! `lasmq-campaign/tests/full_rebuild_identity.rs`.)
+//! cases. The paper-environment sweep adds the Facebook trace, the
+//! uniform batch and the admission-capped testbed. (The changed-jobs
+//! hint itself is checked under failures and speculation, which the
+//! reference does not model, by
+//! `lasmq-simulator/tests/changed_hint_contract.rs`.)
 
 use proptest::prelude::*;
 
 use lasmq_campaign::SchedulerKind;
 use lasmq_schedulers::LinearPolicy;
+use lasmq_simulator::{JobSpec, SimDuration};
 use lasmq_verify::{run_differential, DiffCell};
-use lasmq_workload::{AdversarialScenario, AdversarialWorkload};
+use lasmq_workload::{AdversarialScenario, AdversarialWorkload, FacebookTrace, UniformWorkload};
 
 fn lineup() -> Vec<SchedulerKind> {
     let mut kinds = SchedulerKind::paper_lineup_simulations();
@@ -62,6 +65,73 @@ fn two_hundred_adversarial_cells_have_identical_traces() {
         }
     }
     assert_eq!(cells_run, 200);
+    assert!(
+        failures.is_empty(),
+        "{} dirty cells:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// The paper's environments rather than adversarial corners: a Facebook
+/// prefix and a uniform batch (10 s quantum) on a flat 100-container
+/// pool, a Facebook prefix on the 4×30 testbed capped at 30 admitted
+/// jobs, and three tie/tiny-task scenarios on the flat pool — 6
+/// workloads × 5 schedulers = 30 cells, all clean.
+#[test]
+fn paper_environment_cells_have_identical_traces() {
+    let flat_pool = |cell: DiffCell| cell.cluster(1, 100);
+    type Configure = fn(DiffCell) -> DiffCell;
+    let mut workloads: Vec<(&str, Vec<JobSpec>, Configure)> = vec![
+        (
+            "facebook",
+            FacebookTrace::new().jobs(80).seed(3).generate(),
+            flat_pool,
+        ),
+        (
+            "uniform",
+            UniformWorkload::new().jobs(12).tasks_per_job(40).generate(),
+            |mut cell| {
+                cell.quantum = SimDuration::from_secs(10);
+                cell.cluster(1, 100)
+            },
+        ),
+        (
+            "testbed",
+            FacebookTrace::new().jobs(40).seed(9).generate(),
+            |cell| cell.admission_limit(30),
+        ),
+    ];
+    for scenario in [
+        AdversarialScenario::Bursty,
+        AdversarialScenario::TinyTasks,
+        AdversarialScenario::Mixed,
+    ] {
+        let jobs = AdversarialWorkload::new(scenario)
+            .jobs(20)
+            .seed(11)
+            .max_width(30)
+            .generate();
+        workloads.push((scenario.name(), jobs, flat_pool));
+    }
+
+    let mut cells_run = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    for (label, jobs, configure) in workloads {
+        for kind in lineup() {
+            let name = format!("{label}/{kind}");
+            let cell = configure(DiffCell::new(&name, jobs.clone(), kind));
+            let result = run_differential(&cell).expect("cell builds");
+            cells_run += 1;
+            if !result.divergences.is_empty() {
+                failures.push(format!("{name}: {:?}", result.divergences));
+            }
+            if !result.invariants.is_clean() {
+                failures.push(format!("{name}: {}", result.invariants));
+            }
+        }
+    }
+    assert_eq!(cells_run, 30);
     assert!(
         failures.is_empty(),
         "{} dirty cells:\n{}",
