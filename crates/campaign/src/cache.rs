@@ -243,6 +243,25 @@ mod tests {
         let _ = fs::remove_dir_all(cache.dir());
     }
 
+    #[test]
+    fn reports_carrying_the_retired_journal_key_still_load() {
+        // A report cached before the engine's event journal was removed:
+        // it serializes `"journal":null` between `stats` and `telemetry`.
+        const OLD: &str = r#"{"scheduler":"rotor","outcomes":[{"id":0,"label":"","bin":0,"priority":1,"arrival":0,"admitted_at":0,"first_allocation":0,"finish":3000,"true_size":6,"isolated":3000}],"stats":{"scheduling_passes":4,"tasks_killed":0,"tasks_failed":0,"speculative_launched":0,"speculative_won":0,"events_processed":6,"makespan":3000,"mean_utilization":1},"journal":null,"telemetry":null,"invariants":null}"#;
+        let cache = ResultCache::new(temp_dir("retired-journal"));
+        fs::create_dir_all(cache.dir()).unwrap();
+        fs::write(cache.entry_path("old"), OLD).unwrap();
+        let loaded = cache.load("old").expect("unknown keys are ignored");
+        assert_eq!(loaded.scheduler(), "rotor");
+        assert!(loaded.all_completed());
+        assert_eq!(
+            serde_json::to_string(&loaded).unwrap(),
+            OLD.replacen(r#""journal":null,"#, "", 1),
+            "everything but the retired key survives the load"
+        );
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
     /// A genuine mid-run snapshot's JSON, for corrupting in tests.
     fn real_checkpoint_json() -> String {
         let cell = RunCell::new(

@@ -12,7 +12,11 @@
 //! Submission times come from the trace's arrival process compressed by
 //! `--compression` (sim-seconds per wall-second), or from a fixed
 //! `--rate` in jobs/sec. A reader thread records client-side ack latency
-//! (send → response) per submission; after the replay the daemon's own
+//! per submission, timed from the submission's *scheduled* send instant:
+//! time the sender spends behind schedule (say, blocked writing to a
+//! daemon that stopped reading) counts against the daemon instead of
+//! vanishing from the percentiles. The sender's own lag behind schedule
+//! is reported on a separate line. After the replay the daemon's own
 //! `metrics` digest (scheduling-decision percentiles) is queried and
 //! both are reported, optionally as a `BENCH_6.json`-style baseline via
 //! `--emit`.
@@ -156,7 +160,7 @@ struct AckTally {
     deferred_hist: LatencyHistogram,
 }
 
-/// Locks the send-instant FIFO, tolerating poisoning: a panic on the
+/// Locks the due-instant FIFO, tolerating poisoning: a panic on the
 /// peer thread leaves the queue itself consistent (push/pop are atomic
 /// under the lock), and abandoning the tally over it would turn one
 /// thread's failure into a lost measurement.
@@ -199,10 +203,11 @@ fn run(args: &Args) -> Result<ExitCode, String> {
     stream.set_nodelay(true).ok();
     let read_half = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
 
-    // Send instants, pushed by the send loop, popped by the reader as
-    // acks return — per-connection response order makes this a queue.
-    let sent_at = Arc::new(Mutex::new(VecDeque::<Instant>::with_capacity(n)));
-    let reader_sent_at = Arc::clone(&sent_at);
+    // Scheduled send instants, pushed by the send loop, popped by the
+    // reader as acks return — per-connection response order makes this a
+    // queue.
+    let due_at = Arc::new(Mutex::new(VecDeque::<Instant>::with_capacity(n)));
+    let reader_due_at = Arc::clone(&due_at);
     let reader = thread::spawn(move || {
         let mut tally = AckTally::default();
         let mut reader = BufReader::new(read_half);
@@ -215,18 +220,18 @@ fn run(args: &Args) -> Result<ExitCode, String> {
             }
             // Pop unconditionally: every response consumes exactly one
             // pending send whatever its outcome, or later acks would pair
-            // with the wrong submission's send instant.
-            let sent = lock_fifo(&reader_sent_at).pop_front();
+            // with the wrong submission's due instant.
+            let due = lock_fifo(&reader_due_at).pop_front();
             // Substring classification keeps the hot loop JSON-free.
             if line.contains("\"ok\":true") {
                 tally.accepted += 1;
-                if let Some(sent) = sent {
-                    tally.hist.record(sent.elapsed());
+                if let Some(due) = due {
+                    tally.hist.record(due.elapsed());
                 }
             } else if line.contains("\"deferred\":true") {
                 tally.deferred += 1;
-                if let Some(sent) = sent {
-                    tally.deferred_hist.record(sent.elapsed());
+                if let Some(due) = due {
+                    tally.deferred_hist.record(due.elapsed());
                 }
             } else {
                 // Error responses (invalid job, unknown op) get counted but
@@ -241,6 +246,7 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         "lasmq-loadgen: replaying jobs {}..{} of the Facebook trace (seed {}) to {}",
         args.skip, args.jobs, args.seed, args.addr
     );
+    let mut lag = LatencyHistogram::new();
     let start = Instant::now();
     for (line, offset) in lines.iter().zip(&offsets) {
         // Open loop: hold to the schedule even if acks lag.
@@ -249,7 +255,8 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         if due > now {
             thread::sleep(due - now);
         }
-        lock_fifo(&sent_at).push_back(Instant::now());
+        lock_fifo(&due_at).push_back(due);
+        lag.record(Instant::now().saturating_duration_since(due));
         stream
             .write_all(line.as_bytes())
             .map_err(|e| format!("send: {e}"))?;
@@ -277,8 +284,14 @@ fn run(args: &Args) -> Result<ExitCode, String> {
         tally.errors
     );
     println!(
-        "client ack latency (accepted): p50 {:.0}µs  p99 {:.0}µs  p999 {:.0}µs  max {:.0}µs",
+        "client ack latency (accepted, from due time): p50 {:.0}µs  p99 {:.0}µs  p999 {:.0}µs  \
+         max {:.0}µs",
         ack.p50_us, ack.p99_us, ack.p999_us, ack.max_us
+    );
+    let lag = lag.summary();
+    println!(
+        "sender lag behind schedule: p50 {:.0}µs  p99 {:.0}µs  max {:.0}µs",
+        lag.p50_us, lag.p99_us, lag.max_us
     );
     if tally.deferred > 0 {
         let d = tally.deferred_hist.summary();

@@ -154,15 +154,12 @@ pub struct ServeSummary {
 pub enum ServeError {
     /// Listener or snapshot I/O failed.
     Io(std::io::Error),
-    /// The engine rejected its configuration or a restored snapshot.
-    Sim(lasmq_simulator::SimError),
 }
 
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Io(e) => write!(f, "I/O error: {e}"),
-            ServeError::Sim(e) => write!(f, "engine error: {e}"),
         }
     }
 }
@@ -172,12 +169,6 @@ impl std::error::Error for ServeError {}
 impl From<std::io::Error> for ServeError {
     fn from(e: std::io::Error) -> Self {
         ServeError::Io(e)
-    }
-}
-
-impl From<lasmq_simulator::SimError> for ServeError {
-    fn from(e: lasmq_simulator::SimError) -> Self {
-        ServeError::Sim(e)
     }
 }
 
@@ -230,18 +221,11 @@ impl Daemon {
         })
     }
 
-    /// Builds (or restores) the engine from the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Sim`] if a restored snapshot is self-consistent
-    /// JSON but the engine refuses it (e.g. taken under a different
-    /// scheduler). Corrupt/missing snapshot *files* are not errors —
-    /// they degrade to a fresh start.
-    fn build_engine(
-        config: ServeConfig,
-        stop_requested: Arc<AtomicBool>,
-    ) -> Result<Engine, ServeError> {
+    /// Builds (or restores) the engine from the configuration. Missing
+    /// snapshot files, corrupt ones and ones the engine refuses (parseable
+    /// JSON whose state is inconsistent) are not errors — the latter two
+    /// are reported and degrade to a fresh start.
+    fn build_engine(config: ServeConfig, stop_requested: Arc<AtomicBool>) -> Engine {
         let mut kind = config.kind.clone();
         let mut accepted = 0u64;
         let mut deferred = 0u64;
@@ -249,19 +233,22 @@ impl Daemon {
         if config.resume {
             if let Some(path) = &config.snapshot_path {
                 match load_snapshot(path) {
-                    Ok(snap) => {
-                        if snap.kind != kind {
-                            eprintln!(
-                                "lasmq-serve: snapshot was taken under '{}', overriding \
-                                 configured '{}'",
-                                snap.kind, kind
-                            );
+                    Ok(snap) => match SimSetup::resume_simulation(snap.sim, &snap.kind) {
+                        Ok(sim) => {
+                            if snap.kind != kind {
+                                eprintln!(
+                                    "lasmq-serve: snapshot was taken under '{}', overriding \
+                                     configured '{}'",
+                                    snap.kind, kind
+                                );
+                            }
+                            kind = snap.kind;
+                            accepted = snap.accepted;
+                            deferred = snap.deferred;
+                            restored = Some(sim);
                         }
-                        kind = snap.kind.clone();
-                        accepted = snap.accepted;
-                        deferred = snap.deferred;
-                        restored = Some(SimSetup::resume_simulation(snap.sim, &kind)?);
-                    }
+                        Err(e) => eprintln!("lasmq-serve: snapshot invalid: {e}; starting fresh"),
+                    },
                     Err(SnapshotLoadError::Missing) => {}
                     Err(e) => {
                         eprintln!("lasmq-serve: {e}; starting fresh");
@@ -283,7 +270,7 @@ impl Daemon {
             )),
         };
 
-        Ok(Engine {
+        Engine {
             sim,
             kind,
             queue_cap: config.queue_cap,
@@ -297,7 +284,7 @@ impl Daemon {
             decision: LatencyHistogram::new(),
             started: Instant::now(),
             stop_requested,
-        })
+        }
     }
 
     /// The bound listen address (resolves `:0` ephemeral ports).
@@ -317,9 +304,7 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// [`ServeError::Sim`] if a restored snapshot is rejected by the
-    /// engine; [`ServeError::Io`] if the final snapshot cannot be
-    /// written.
+    /// [`ServeError::Io`] if the final snapshot cannot be written.
     pub fn run(self) -> Result<ServeSummary, ServeError> {
         let Daemon {
             listener,
@@ -327,7 +312,7 @@ impl Daemon {
             config,
             stop_requested,
         } = self;
-        let mut engine = Self::build_engine(config, stop_requested)?;
+        let mut engine = Self::build_engine(config, stop_requested);
 
         let (req_tx, req_rx) = mpsc::sync_channel::<Envelope>(REQUEST_QUEUE_CAP);
         let conns_stop = Arc::new(AtomicBool::new(false));
@@ -758,7 +743,7 @@ mod tests {
     use lasmq_simulator::{JobSpec, SimDuration, StageKind, StageSpec, TaskSpec};
 
     fn test_engine(config: ServeConfig) -> Engine {
-        Daemon::build_engine(config, Arc::new(AtomicBool::new(false))).unwrap()
+        Daemon::build_engine(config, Arc::new(AtomicBool::new(false)))
     }
 
     fn spec() -> JobSpec {

@@ -279,31 +279,37 @@ impl ClusterState {
 
     /// Rebuilds live occupancy from snapshotted per-node free counts.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the vector length does not match the node count or any
-    /// entry exceeds the node's capacity.
-    pub fn from_snapshot(config: ClusterConfig, free_per_node: Vec<u32>) -> Self {
-        assert_eq!(
-            free_per_node.len(),
-            config.nodes() as usize,
-            "snapshot node count mismatch"
-        );
-        assert!(
-            free_per_node
-                .iter()
-                .all(|&f| f <= config.containers_per_node()),
-            "snapshot free count exceeds node capacity"
-        );
+    /// [`SimError::Snapshot`] if the vector length does not match the node
+    /// count or any entry exceeds the node's capacity.
+    pub fn from_snapshot(config: ClusterConfig, free_per_node: Vec<u32>) -> Result<Self, SimError> {
+        if free_per_node.len() != config.nodes() as usize {
+            return Err(SimError::Snapshot(format!(
+                "{} free counts for {} nodes",
+                free_per_node.len(),
+                config.nodes()
+            )));
+        }
+        if let Some(node) = free_per_node
+            .iter()
+            .position(|&f| f > config.containers_per_node())
+        {
+            return Err(SimError::Snapshot(format!(
+                "node {node} has {} free containers, more than its capacity {}",
+                free_per_node[node],
+                config.containers_per_node()
+            )));
+        }
         let free_total = free_per_node.iter().sum();
         let (tree, leaves) = build_max_tree(&free_per_node);
-        ClusterState {
+        Ok(ClusterState {
             config,
             free_per_node,
             free_total,
             tree,
             leaves,
-        }
+        })
     }
 
     /// Returns `containers` containers on `node` to the pool.

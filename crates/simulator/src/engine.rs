@@ -30,7 +30,6 @@ use crate::ids::{JobId, NodeId, StageId, TaskId};
 use crate::invariant::{InvariantKind, InvariantReport};
 use crate::isolated::isolated_runtime;
 use crate::job::{JobSpec, StageSpec};
-use crate::journal::{Journal, SimEvent};
 use crate::metrics::{EngineStats, JobOutcome, SimulationReport};
 use crate::sched::{AllocationPlan, JobView, OracleInfo, SchedContext, Scheduler};
 use crate::snapshot::{SimSnapshot, SNAPSHOT_SCHEMA_VERSION};
@@ -298,6 +297,44 @@ pub(crate) struct Job {
     finished_at: Option<SimTime>,
 }
 
+impl Job {
+    /// Checks the references restored task state makes into the job's spec
+    /// and the cluster's `nodes`, before the engine indexes by them.
+    pub(crate) fn check_references(&self, nodes: u32) -> Result<(), String> {
+        let Some(stage) = self.spec.stages().get(self.stage_index) else {
+            return Err(format!(
+                "stage_index {} but {} stages",
+                self.stage_index,
+                self.spec.stage_count()
+            ));
+        };
+        let st = &self.stage;
+        let tasks = stage.task_count() as usize;
+        let mut task_ids = st
+            .running
+            .iter()
+            .map(|r| r.task_idx)
+            .chain(st.requeued.iter().copied());
+        if st.total as usize != tasks
+            || st.completed as usize > tasks
+            || st.next_unstarted > tasks
+            || task_ids.any(|t| t >= tasks)
+        {
+            return Err(format!(
+                "task counters or indices do not fit a {tasks}-task stage"
+            ));
+        }
+        let mut placed = st
+            .running
+            .iter()
+            .flat_map(|r| std::iter::once(r.node).chain(r.spec_copy.map(|c| c.node)));
+        if let Some(node) = placed.find(|n| n.index() >= nodes as usize) {
+            return Err(format!("an attempt runs on {node} of {nodes} nodes"));
+        }
+        Ok(())
+    }
+}
+
 /// The hot, fixed-size slice of a job's runtime state: everything the
 /// per-event paths touch, separated from the cold [`JobSpec`] and the
 /// task-level [`StageRt`] so a scheduling pass walks tightly packed
@@ -517,7 +554,6 @@ pub struct SimulationBuilder {
     speculation: SpeculationConfig,
     failures: FailureConfig,
     expose_oracle: bool,
-    record_journal: bool,
     record_telemetry: bool,
     check_invariants: bool,
     deadline: Option<SimTime>,
@@ -534,7 +570,6 @@ impl Default for SimulationBuilder {
             speculation: SpeculationConfig::disabled(),
             failures: FailureConfig::disabled(),
             expose_oracle: false,
-            record_journal: false,
             record_telemetry: false,
             check_invariants: false,
             deadline: None,
@@ -590,13 +625,6 @@ impl SimulationBuilder {
     /// [`JobView::oracle`]. Required by SJF/SRTF-style oracle baselines.
     pub fn expose_oracle(mut self, expose: bool) -> Self {
         self.expose_oracle = expose;
-        self
-    }
-
-    /// Records a [`Journal`] of every lifecycle event for the report.
-    /// Off by default — long traces produce millions of events.
-    pub fn record_journal(mut self, record: bool) -> Self {
-        self.record_journal = record;
         self
     }
 
@@ -698,11 +726,6 @@ impl SimulationBuilder {
             failures: self.failures,
             expose_oracle: self.expose_oracle,
             deadline: self.deadline,
-            journal: if self.record_journal {
-                Some(Journal::new())
-            } else {
-                None
-            },
             telemetry: if self.record_telemetry {
                 Some(Telemetry::new())
             } else {
@@ -785,7 +808,6 @@ pub struct Simulation<S: Scheduler> {
     failures: FailureConfig,
     expose_oracle: bool,
     deadline: Option<SimTime>,
-    journal: Option<Journal>,
     telemetry: Option<Telemetry>,
     invariants: Option<InvariantReport>,
     jobs: JobStore,
@@ -1310,7 +1332,7 @@ impl<S: Scheduler> Simulation<S> {
 
     /// Captures the complete engine state — clock, event queue, cluster
     /// occupancy, admission queue, per-job task progress, accumulated
-    /// journal/telemetry — plus the scheduler's
+    /// telemetry and invariant state — plus the scheduler's
     /// [`snapshot_state`](Scheduler::snapshot_state), as a serializable
     /// [`SimSnapshot`].
     ///
@@ -1342,7 +1364,6 @@ impl<S: Scheduler> Simulation<S> {
             failures: self.failures,
             expose_oracle: self.expose_oracle,
             deadline: self.deadline,
-            journal: self.journal.clone(),
             telemetry: self.telemetry.clone(),
             invariants: self.invariants.clone(),
             jobs: self.jobs.to_jobs(),
@@ -1371,7 +1392,9 @@ impl<S: Scheduler> Simulation<S> {
     /// # Errors
     ///
     /// * [`SimError::Snapshot`] if the schema version or scheduler name
-    ///   does not match, or the scheduler rejects its serialized state,
+    ///   does not match, the scheduler rejects its serialized state, or
+    ///   the snapshot references a job, node, stage or task that does not
+    ///   exist,
     /// * [`SimError::OracleNotExposed`] if `scheduler` needs the size
     ///   oracle but the snapshotted run did not expose it.
     pub fn restore(snapshot: SimSnapshot, mut scheduler: S) -> Result<Self, SimError> {
@@ -1411,7 +1434,9 @@ impl<S: Scheduler> Simulation<S> {
     ///
     /// * [`SimError::OracleNotExposed`] if `scheduler` needs the size
     ///   oracle but the snapshotted run did not expose it,
-    /// * [`SimError::Snapshot`] if the schema version does not match.
+    /// * [`SimError::Snapshot`] if the schema version does not match or
+    ///   the snapshot references a job, node, stage or task that does not
+    ///   exist.
     pub fn fork(snapshot: &SimSnapshot, scheduler: S) -> Result<Self, SimError> {
         if snapshot.schema != SNAPSHOT_SCHEMA_VERSION {
             return Err(SimError::Snapshot(format!(
@@ -1440,9 +1465,10 @@ impl<S: Scheduler> Simulation<S> {
                 scheduler: scheduler.name().to_string(),
             });
         }
+        snapshot.check_references()?;
         let mut sim = Simulation {
             scheduler,
-            cluster: ClusterState::from_snapshot(snapshot.cluster, snapshot.free_per_node),
+            cluster: ClusterState::from_snapshot(snapshot.cluster, snapshot.free_per_node)?,
             admission: AdmissionController::from_snapshot(
                 snapshot.admission_limit,
                 snapshot.admission_running,
@@ -1454,7 +1480,6 @@ impl<S: Scheduler> Simulation<S> {
             failures: snapshot.failures,
             expose_oracle: snapshot.expose_oracle,
             deadline: snapshot.deadline,
-            journal: snapshot.journal,
             telemetry: snapshot.telemetry,
             invariants: snapshot.invariants,
             view_slot: vec![usize::MAX; snapshot.jobs.len()],
@@ -1518,7 +1543,6 @@ impl<S: Scheduler> Simulation<S> {
     }
 
     fn handle_arrival(&mut self, job: JobId) {
-        self.record(SimEvent::JobSubmitted { job, at: self.now });
         if self.admission.offer(job).is_some() {
             self.admit(job);
         } else if let Some(tel) = &mut self.telemetry {
@@ -1543,7 +1567,6 @@ impl<S: Scheduler> Simulation<S> {
             }
         }
         self.admitted.push(id);
-        self.record(SimEvent::JobAdmitted { job: id, at: now });
         if let Some(tel) = &mut self.telemetry {
             let waited = now.saturating_since(self.jobs.specs[id.index()].arrival());
             tel.push_decision(DecisionEvent::AdmissionAccepted {
@@ -1604,15 +1627,8 @@ impl<S: Scheduler> Simulation<S> {
                 core.held -= copy.containers;
                 self.cluster.release(copy.node, copy.containers);
             }
-            let failed_task = TaskId::new(failed.task_idx as u32);
             st.requeued.push(failed.task_idx);
             self.stats.tasks_failed += 1;
-            self.record(SimEvent::TaskFailed {
-                job: id,
-                stage,
-                task: failed_task,
-                at: self.now,
-            });
             if !self.needs_pass {
                 self.refill_after_completion(id);
             }
@@ -1633,15 +1649,6 @@ impl<S: Scheduler> Simulation<S> {
             st.completed_durations.push(spec_task.duration());
             core.completed_service += spec_task.service();
             stage_done = st.completed == st.total;
-            let finished_task = TaskId::new(running.task_idx as u32);
-            let finished_attempt = running.attempt;
-            self.record(SimEvent::TaskFinished {
-                job: id,
-                stage,
-                task: finished_task,
-                attempt: finished_attempt,
-                at: self.now,
-            });
         }
 
         if stage_done {
@@ -1668,11 +1675,6 @@ impl<S: Scheduler> Simulation<S> {
             if ready_at > now {
                 self.events.push(ready_at, Event::Resched);
             }
-            self.record(SimEvent::StageCompleted {
-                job: id,
-                stage: StageId::new((new_stage - 1) as u16),
-                at: now,
-            });
             self.scheduler.on_stage_completed(id, new_stage, now);
         } else {
             core.finished_at = Some(now);
@@ -1681,7 +1683,6 @@ impl<S: Scheduler> Simulation<S> {
             self.finished_count += 1;
             self.finished_in_admitted += 1;
             self.views_need_compact = true;
-            self.record(SimEvent::JobCompleted { job: id, at: now });
             self.scheduler.on_job_completed(id, now);
             if let Some(next) = self.admission.on_completion(id) {
                 self.admit(next);
@@ -1790,7 +1791,6 @@ impl<S: Scheduler> Simulation<S> {
             core.first_alloc = Some(now);
         }
         let stage = StageId::new(core.stage_index as u16);
-        let containers = spec_task.containers();
         self.events.push(
             finish,
             Event::TaskFinish {
@@ -1800,27 +1800,12 @@ impl<S: Scheduler> Simulation<S> {
                 attempt,
             },
         );
-        self.record(SimEvent::TaskStarted {
-            job: id,
-            stage,
-            task: TaskId::new(task_idx as u32),
-            attempt,
-            node,
-            containers,
-            at: now,
-        });
         self.mark_dirty(id);
         true
     }
 
     fn accrue_job(&mut self, id: JobId) {
         self.jobs.core[id.index()].accrue(self.now);
-    }
-
-    fn record(&mut self, event: SimEvent) {
-        if let Some(journal) = &mut self.journal {
-            journal.push(event);
-        }
     }
 
     fn update_util(&mut self) {
@@ -2107,15 +2092,8 @@ impl<S: Scheduler> Simulation<S> {
                     self.cluster.release(copy.node, copy.containers);
                 }
                 let killed_task = TaskId::new(killed.task_idx as u32);
-                let killed_stage = StageId::new(core.stage_index as u16);
                 st.requeued.push(killed.task_idx);
                 self.stats.tasks_killed += 1;
-                self.record(SimEvent::TaskKilled {
-                    job: id,
-                    stage: killed_stage,
-                    task: killed_task,
-                    at: self.now,
-                });
                 if let Some(tel) = &mut self.telemetry {
                     tel.push_decision(DecisionEvent::TaskPreempted {
                         job: id,
@@ -2170,16 +2148,7 @@ impl<S: Scheduler> Simulation<S> {
                 core.held += containers;
                 self.stats.speculative_launched += 1;
                 let spec_task_id = TaskId::new(running.task_idx as u32);
-                let spec_stage = StageId::new(core.stage_index as u16);
                 let copy_finish = now + median;
-                if let Some(journal) = &mut self.journal {
-                    journal.push(SimEvent::SpeculativeLaunched {
-                        job: id,
-                        stage: spec_stage,
-                        task: spec_task_id,
-                        at: now,
-                    });
-                }
                 if let Some(tel) = &mut self.telemetry {
                     tel.push_decision(DecisionEvent::SpeculativeLaunched {
                         job: id,
@@ -2257,9 +2226,6 @@ impl<S: Scheduler> Simulation<S> {
             .collect();
         let mut report =
             SimulationReport::new(self.scheduler.name().to_string(), outcomes, self.stats);
-        if let Some(journal) = self.journal {
-            report = report.with_journal(journal);
-        }
         if let Some(telemetry) = self.telemetry {
             report = report.with_telemetry(telemetry);
         }
@@ -2845,64 +2811,6 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_the_full_lifecycle() {
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(4))
-            .record_journal(true)
-            .jobs(vec![two_stage_job(0), map_job(3, 2, 5)])
-            .build(Greedy)
-            .unwrap()
-            .run();
-        let journal = report.journal().expect("journal was requested");
-        use crate::journal::SimEvent as E;
-        let count = |pred: fn(&E) -> bool| journal.count_where(pred);
-        assert_eq!(count(|e| matches!(e, E::JobSubmitted { .. })), 2);
-        assert_eq!(count(|e| matches!(e, E::JobAdmitted { .. })), 2);
-        assert_eq!(count(|e| matches!(e, E::JobCompleted { .. })), 2);
-        // two_stage_job: 4 maps + 2 reduces; map_job: 2 tasks.
-        assert_eq!(count(|e| matches!(e, E::TaskStarted { .. })), 8);
-        assert_eq!(count(|e| matches!(e, E::TaskFinished { .. })), 8);
-        // One stage boundary (map -> reduce) for the two-stage job.
-        assert_eq!(count(|e| matches!(e, E::StageCompleted { .. })), 1);
-        // Events are chronological.
-        for pair in journal.events().windows(2) {
-            assert!(pair[0].at() <= pair[1].at());
-        }
-    }
-
-    #[test]
-    fn journal_is_off_by_default() {
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(2))
-            .job(map_job(0, 1, 1))
-            .build(Greedy)
-            .unwrap()
-            .run();
-        assert!(report.journal().is_none());
-    }
-
-    #[test]
-    fn journal_captures_failures() {
-        let report = Simulation::builder()
-            .cluster(ClusterConfig::single_node(4))
-            .record_journal(true)
-            .failures(FailureConfig::with_probability(0.4, 7))
-            .jobs(vec![map_job(0, 8, 10)])
-            .build(Greedy)
-            .unwrap()
-            .run();
-        let journal = report.journal().unwrap();
-        use crate::journal::SimEvent as E;
-        let failed = journal.count_where(|e| matches!(e, E::TaskFailed { .. }));
-        assert_eq!(failed as u64, report.stats().tasks_failed);
-        assert!(failed > 0);
-        // Starts = successes + failures (every attempt started once).
-        let started = journal.count_where(|e| matches!(e, E::TaskStarted { .. }));
-        let finished = journal.count_where(|e| matches!(e, E::TaskFinished { .. }));
-        assert_eq!(started, finished + failed);
-    }
-
-    #[test]
     fn mean_utilization_counts_idle_tail() {
         // Job 0 saturates the cluster until t=10, then the cluster idles
         // until job 1 arrives at t=100 and runs one container for 10 s.
@@ -3243,6 +3151,83 @@ mod tests {
         assert_eq!(a.checks_run, b.checks_run);
         assert_eq!(a.violations_total, b.violations_total);
         assert_eq!(uninterrupted.outcomes(), resumed.outcomes());
+    }
+
+    /// Restores a mid-run snapshot after `edit` (two 2-container nodes;
+    /// job 0 waits in its reduce stage, job 1 runs three map attempts, job
+    /// 2 waits for admission) and asserts restore refuses it, citing `why`.
+    fn assert_refused(edit: impl FnOnce(&mut SimSnapshot), why: &str) {
+        let mut sim = Simulation::builder()
+            .cluster(ClusterConfig::new(2, 2))
+            .admission_limit(2)
+            .jobs(vec![two_stage_job(0), map_job(1, 4, 30), map_job(2, 1, 1)])
+            .build(Greedy)
+            .unwrap();
+        let mut snap = sim.snapshot_at(SimTime::from_secs(12)).expect("mid-run");
+        assert_eq!(snap.jobs[0].stage_index, 1);
+        assert_eq!(snap.jobs[1].stage.running.len(), 3);
+        edit(&mut snap);
+        match Simulation::restore(snap, Greedy) {
+            Err(SimError::Snapshot(msg)) => assert!(msg.contains(why), "{msg}"),
+            other => panic!("edited snapshot was not refused: {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_free_list_that_does_not_match_the_nodes() {
+        assert_refused(|s| s.free_per_node.push(0), "3 free counts for 2 nodes");
+    }
+
+    #[test]
+    fn restore_refuses_free_containers_beyond_capacity() {
+        assert_refused(|s| s.free_per_node[1] = 3, "more than its capacity");
+    }
+
+    #[test]
+    fn restore_refuses_job_ids_past_the_workload() {
+        let bad = JobId::new(4_000_000);
+        let edits: [fn(&mut SimSnapshot, JobId); 4] = [
+            |s, id| s.admitted[0] = id,
+            |s, id| s.admission_waiting.push(id),
+            |s, id| s.plan_order.push(id),
+            |s, id| s.events[0].event = Event::JobArrival { job: id },
+        ];
+        for edit in edits {
+            assert_refused(|s| edit(s, bad), "job-4000000 referenced");
+        }
+    }
+
+    #[test]
+    fn restore_refuses_a_stage_index_past_the_spec() {
+        assert_refused(|s| s.jobs[0].stage_index = 2, "stage_index 2 but 2 stages");
+    }
+
+    #[test]
+    fn restore_refuses_attempts_on_missing_nodes() {
+        let moved = |s: &mut SimSnapshot| s.jobs[1].stage.running[0].node = NodeId::new(2);
+        assert_refused(moved, "runs on node-2 of 2 nodes");
+        let copy = SpecCopy {
+            node: NodeId::new(9),
+            containers: 1,
+        };
+        assert_refused(
+            |s| s.jobs[1].stage.running[0].spec_copy = Some(copy),
+            "runs on node-9",
+        );
+    }
+
+    #[test]
+    fn restore_refuses_task_state_that_does_not_fit_the_stage() {
+        assert_refused(|s| s.jobs[1].stage.running[0].task_idx = 4, "4-task stage");
+        assert_refused(|s| s.jobs[0].stage.next_unstarted = 3, "2-task stage");
+    }
+
+    #[test]
+    fn restore_refuses_a_refill_cursor_past_the_plan() {
+        assert_refused(
+            |s| s.refill_cursor = s.plan_order.len() + 1,
+            "refill cursor",
+        );
     }
 
     #[test]

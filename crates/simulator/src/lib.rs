@@ -85,7 +85,6 @@ pub mod ids;
 pub mod invariant;
 pub mod isolated;
 pub mod job;
-pub mod journal;
 pub mod metrics;
 pub mod sched;
 pub mod snapshot;
@@ -102,7 +101,6 @@ pub use error::SimError;
 pub use ids::{JobId, NodeId, StageId, TaskId};
 pub use invariant::{InvariantKind, InvariantReport, InvariantViolation};
 pub use job::{JobSpec, JobSpecBuilder, StageKind, StageSpec, TaskSpec};
-pub use journal::{Journal, SimEvent};
 pub use metrics::{EngineStats, JobOutcome, SimulationReport};
 pub use sched::{AllocationPlan, JobView, OracleInfo, SchedContext, Scheduler};
 pub use snapshot::{SimSnapshot, SNAPSHOT_SCHEMA_VERSION};

@@ -9,7 +9,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::JobId;
 use crate::invariant::InvariantReport;
-use crate::journal::Journal;
 use crate::telemetry::Telemetry;
 use crate::time::{Service, SimDuration, SimTime};
 
@@ -109,8 +108,6 @@ pub struct SimulationReport {
     outcomes: Vec<JobOutcome>,
     stats: EngineStats,
     #[serde(default)]
-    journal: Option<Journal>,
-    #[serde(default)]
     telemetry: Option<Telemetry>,
     #[serde(default)]
     invariants: Option<InvariantReport>,
@@ -124,22 +121,9 @@ impl SimulationReport {
             scheduler,
             outcomes,
             stats,
-            journal: None,
             telemetry: None,
             invariants: None,
         }
-    }
-
-    /// Attaches the recorded event journal (engine use).
-    pub fn with_journal(mut self, journal: Journal) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// The event journal, if the run was built with
-    /// [`record_journal`](crate::SimulationBuilder::record_journal).
-    pub fn journal(&self) -> Option<&Journal> {
-        self.journal.as_ref()
     }
 
     /// Attaches the recorded telemetry series (engine use).

@@ -4,8 +4,8 @@
 //! [`Simulation`](crate::Simulation) needs to continue bit-identically:
 //! the clock, the pending event queue (with its tie-breaking sequence
 //! numbers), per-node container occupancy, the admission queue, every
-//! job's task-level progress, accumulated journal/telemetry, and the
-//! scheduler's serialized internal state
+//! job's task-level progress, accumulated telemetry and invariant state,
+//! and the scheduler's serialized internal state
 //! ([`Scheduler::snapshot_state`](crate::Scheduler::snapshot_state)).
 //!
 //! There is deliberately no RNG stream to capture: failure injection and
@@ -34,10 +34,9 @@ use serde::{Deserialize, Serialize};
 use crate::cluster::ClusterConfig;
 use crate::engine::{FailureConfig, Job, PreemptionPolicy, SpeculationConfig};
 use crate::error::SimError;
-use crate::event::EventEntry;
+use crate::event::{Event, EventEntry};
 use crate::ids::JobId;
 use crate::invariant::InvariantReport;
-use crate::journal::Journal;
 use crate::metrics::EngineStats;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
@@ -75,7 +74,6 @@ pub struct SimSnapshot {
     pub(crate) failures: FailureConfig,
     pub(crate) expose_oracle: bool,
     pub(crate) deadline: Option<SimTime>,
-    pub(crate) journal: Option<Journal>,
     pub(crate) telemetry: Option<Telemetry>,
     /// Accumulated invariant-checker state; `None` when checking is off.
     /// Defaults on deserialization so pre-checker snapshots still parse.
@@ -137,6 +135,40 @@ impl SimSnapshot {
     /// Serializes to JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("snapshot serialization cannot fail")
+    }
+
+    /// Checks every job id, node id and cursor the engine will index by,
+    /// so a snapshot that parses but is inconsistent (hand-edited, or
+    /// damaged on disk) is refused instead of panicking on restore.
+    /// Per-node free counts are checked by
+    /// [`ClusterState::from_snapshot`](crate::ClusterState::from_snapshot).
+    pub(crate) fn check_references(&self) -> Result<(), SimError> {
+        let jobs = self.jobs.len();
+        let event_jobs = self.events.iter().filter_map(|e| match e.event {
+            Event::JobArrival { job } | Event::TaskFinish { job, .. } => Some(job),
+            Event::Tick | Event::Resched => None,
+        });
+        let mut ids = (self.admitted.iter().chain(&self.admission_waiting))
+            .chain(&self.plan_order)
+            .copied()
+            .chain(event_jobs);
+        if let Some(id) = ids.find(|id| id.index() >= jobs) {
+            return Err(SimError::Snapshot(format!(
+                "{id} referenced but only {jobs} jobs"
+            )));
+        }
+        if self.refill_cursor > self.plan_order.len() {
+            return Err(SimError::Snapshot(format!(
+                "refill cursor {} past a {}-entry plan",
+                self.refill_cursor,
+                self.plan_order.len()
+            )));
+        }
+        for (i, job) in self.jobs.iter().enumerate() {
+            job.check_references(self.cluster.nodes())
+                .map_err(|why| SimError::Snapshot(format!("job {i}: {why}")))?;
+        }
+        Ok(())
     }
 
     /// Parses a snapshot back from [`to_json`](Self::to_json) output.

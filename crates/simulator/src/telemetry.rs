@@ -1,11 +1,15 @@
 //! Time-series telemetry of a run: how the schedule *unfolded*.
 //!
-//! The [`Journal`](crate::journal::Journal) records what happened to each
-//! task; this module records what the **scheduler** saw and decided —
-//! per-queue depths, running/queued jobs, cluster occupancy over time, and
-//! the typed decision events (demotions, preemption kills, speculative
-//! copies, admission verdicts) that explain *why* response times come out
-//! the way they do. The paper argues entirely from end-of-run aggregates
+//! Telemetry is the engine's one recorded stream. It captures what the
+//! **scheduler** saw and decided — per-queue depths, running/queued jobs,
+//! cluster occupancy over time, and the typed decision events (demotions,
+//! preemption kills, speculative copies, admission verdicts) that explain
+//! *why* response times come out the way they do. Job-level facts
+//! (arrival, admission, first allocation, finish) live in the report's
+//! [`JobOutcome`](crate::JobOutcome)s and run-wide counts in its
+//! [`EngineStats`](crate::EngineStats); there is deliberately no per-task
+//! event log, which on a 24,443-job trace runs to over a million entries.
+//! The paper argues entirely from end-of-run aggregates
 //! (§V); validating the aging behaviour of LAS_MQ requires watching queue
 //! depths and demotions over time.
 //!

@@ -10,8 +10,8 @@
 //!
 //! The naive reference executor in `lasmq-verify` checks the engine's
 //! semantics on failure-free runs; this suite is the hint's only check
-//! under task failures, speculative copies, admission queueing, journal
-//! and telemetry recording.
+//! under task failures, speculative copies, admission queueing and
+//! telemetry recording.
 
 use proptest::prelude::*;
 
@@ -139,23 +139,21 @@ fn workload() -> Vec<JobSpec> {
     ]
 }
 
-fn run() -> SimulationReport {
+fn build() -> Simulation<Mirror> {
     Simulation::builder()
         .cluster(ClusterConfig::new(3, 2))
         .admission_limit(3)
         .failures(FailureConfig::with_probability(0.15, 42))
         .speculation(SpeculationConfig::enabled(2, 1.5))
-        .record_journal(true)
         .record_telemetry(true)
         .check_invariants(true)
         .jobs(workload())
         .build(Mirror::new())
         .expect("valid setup")
-        .run()
 }
 
 /// Byte-level fingerprint of everything a run produces: the serialized
-/// report (outcomes, stats, journal, invariants) plus both telemetry CSVs.
+/// report (outcomes, stats, invariants) plus both telemetry CSVs.
 fn fingerprint(report: &SimulationReport) -> String {
     let mut out = serde_json::to_string(report).expect("report serializes");
     if let Some(tel) = report.telemetry() {
@@ -175,31 +173,29 @@ fn assert_completes_cleanly(report: &SimulationReport) {
 
 #[test]
 fn hint_fed_mirror_completes_the_fixed_workload() {
-    assert_completes_cleanly(&run());
+    assert_completes_cleanly(&build().run());
 }
 
 #[test]
 fn incremental_mode_still_snapshot_restores_byte_identically() {
-    let baseline = fingerprint(&run());
+    // The report only holds job-level facts; the serialized state at a
+    // second, later cut is the task-level half of the comparison: every
+    // running attempt's node, attempt number and finish time.
+    let second_cut = SimTime::from_secs(14);
+    let mut uninterrupted = build();
+    let later = uninterrupted
+        .snapshot_at(second_cut)
+        .expect("still running at the second cut")
+        .to_json();
+    let baseline = fingerprint(&uninterrupted.run());
 
-    let build = || {
-        Simulation::builder()
-            .cluster(ClusterConfig::new(3, 2))
-            .admission_limit(3)
-            .failures(FailureConfig::with_probability(0.15, 42))
-            .speculation(SpeculationConfig::enabled(2, 1.5))
-            .record_journal(true)
-            .record_telemetry(true)
-            .check_invariants(true)
-            .jobs(workload())
-            .build(Mirror::new())
-            .expect("valid setup")
-    };
     let mut sim = build();
     let snap = sim.snapshot_at(SimTime::from_secs(9)).expect("mid-run");
     let json = snap.to_json();
     let revived = lasmq_simulator::SimSnapshot::from_json(&json).expect("parses");
-    let resumed = Simulation::restore(revived, Mirror::new()).expect("restores");
+    let mut resumed = Simulation::restore(revived, Mirror::new()).expect("restores");
+    let resumed_later = resumed.snapshot_at(second_cut).map(|snap| snap.to_json());
+    assert_eq!(resumed_later, Some(later));
     assert_eq!(fingerprint(&resumed.run()), baseline);
 }
 
@@ -232,7 +228,6 @@ proptest! {
             .admission_limit(limit)
             .failures(FailureConfig::with_probability(fail_prob, seed))
             .speculation(SpeculationConfig::enabled(2, 1.3))
-            .record_journal(true)
             .record_telemetry(true)
             .check_invariants(true)
             .jobs(jobs)

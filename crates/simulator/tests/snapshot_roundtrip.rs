@@ -1,8 +1,8 @@
 //! Snapshot/restore correctness: a run paused mid-flight, serialized,
 //! deserialized and resumed must be *byte-identical* to the uninterrupted
 //! run — including the telemetry CSVs — with failures and speculation
-//! enabled. Also covers the warm-state fork primitive and snapshot error
-//! paths.
+//! enabled. Also covers the warm-state fork primitive, snapshot error
+//! paths and snapshots written before the event journal was removed.
 
 use proptest::prelude::*;
 
@@ -97,7 +97,6 @@ fn build(scheduler: Rotor) -> Simulation<Rotor> {
         .admission_limit(3)
         .failures(FailureConfig::with_probability(0.15, 42))
         .speculation(SpeculationConfig::enabled(2, 1.5))
-        .record_journal(true)
         .record_telemetry(true)
         .jobs(workload())
         .build(scheduler)
@@ -105,7 +104,7 @@ fn build(scheduler: Rotor) -> Simulation<Rotor> {
 }
 
 /// Byte-level fingerprint of everything a run produces: the serialized
-/// report (outcomes, stats, journal) plus both telemetry CSVs verbatim.
+/// report (outcomes, stats) plus both telemetry CSVs verbatim.
 fn fingerprint(report: &SimulationReport) -> String {
     let mut out = serde_json::to_string(report).expect("report serializes");
     if let Some(tel) = report.telemetry() {
@@ -115,17 +114,49 @@ fn fingerprint(report: &SimulationReport) -> String {
     out
 }
 
+/// Runs `sim` to `cut` and serializes its state there. The report only
+/// holds job-level facts; this JSON is the task-level half of the
+/// byte-identity check, carrying every running attempt's node, attempt
+/// number and finish time.
+fn state_at<S: Scheduler>(sim: &mut Simulation<S>, cut: SimTime) -> Option<String> {
+    sim.snapshot_at(cut).map(|snap| snap.to_json())
+}
+
 #[test]
 fn restore_after_json_roundtrip_is_byte_identical() {
-    let baseline = fingerprint(&build(Rotor::new()).run());
+    let mut uninterrupted = build(Rotor::new());
+    let second_cut = SimTime::from_secs(25);
+    let later = state_at(&mut uninterrupted, second_cut).expect("still running at the second cut");
+    let baseline = fingerprint(&uninterrupted.run());
 
     let mut sim = build(Rotor::new());
     let snap = sim.snapshot_at(SimTime::from_secs(15)).expect("mid-run");
     drop(sim); // the original is gone; only the snapshot survives
     let json = snap.to_json();
     let revived = lasmq_simulator::SimSnapshot::from_json(&json).expect("parses");
-    let resumed = Simulation::restore(revived, Rotor::new()).expect("restores");
+    let mut resumed = Simulation::restore(revived, Rotor::new()).expect("restores");
+    assert_eq!(state_at(&mut resumed, second_cut), Some(later));
     assert_eq!(fingerprint(&resumed.run()), baseline);
+}
+
+#[test]
+fn snapshots_carrying_the_retired_journal_key_still_restore() {
+    // Written by the engine before its event journal was removed, at 15 s
+    // into `build()`: the layout is today's plus a `"journal":null` key.
+    let old = include_str!("fixtures/snapshot_v2_journal_null.json").trim_end();
+    assert!(old.contains(r#""journal":null,"#));
+    let snap = lasmq_simulator::SimSnapshot::from_json(old).expect("unknown keys are ignored");
+    assert_eq!(snap.schema(), lasmq_simulator::SNAPSHOT_SCHEMA_VERSION);
+
+    let mut sim = build(Rotor::new());
+    let today = state_at(&mut sim, SimTime::from_secs(15)).expect("mid-run");
+    assert_eq!(today, old.replacen(r#""journal":null,"#, "", 1));
+
+    let resumed = Simulation::restore(snap, Rotor::new()).expect("restores");
+    assert_eq!(
+        fingerprint(&resumed.run()),
+        fingerprint(&build(Rotor::new()).run())
+    );
 }
 
 #[test]
@@ -261,7 +292,8 @@ proptest! {
     /// The tentpole invariant, property-tested: for random workloads,
     /// cluster shapes and snapshot times — with failures and speculation
     /// on — snapshot → serialize → restore → run equals the uninterrupted
-    /// run byte-for-byte, telemetry included.
+    /// run byte-for-byte, telemetry included, and both runs hold the same
+    /// task-level state at a second, later cut.
     #[test]
     fn snapshot_restore_run_is_byte_identical(
         jobs in prop::collection::vec(
@@ -277,6 +309,7 @@ proptest! {
         fail_prob in 0.0f64..0.3,
         seed in 0u64..1_000,
         cut_secs in 1u64..120,
+        later_secs in 1u64..60,
     ) {
         let build = || {
             Simulation::builder()
@@ -284,13 +317,15 @@ proptest! {
                 .admission_limit(limit)
                 .failures(FailureConfig::with_probability(fail_prob, seed))
                 .speculation(SpeculationConfig::enabled(2, 1.3))
-                .record_journal(true)
                 .record_telemetry(true)
                 .jobs(jobs.clone())
                 .build(Rotor::new())
                 .expect("valid setup")
         };
-        let baseline = fingerprint(&build().run());
+        let second_cut = SimTime::from_secs(cut_secs + later_secs);
+        let mut uninterrupted = build();
+        let later = state_at(&mut uninterrupted, second_cut);
+        let baseline = fingerprint(&uninterrupted.run());
 
         let mut sim = build();
         match sim.snapshot_at(SimTime::from_secs(cut_secs)) {
@@ -303,7 +338,8 @@ proptest! {
                 let json = snap.to_json();
                 let revived = lasmq_simulator::SimSnapshot::from_json(&json)
                     .expect("snapshot JSON parses");
-                let resumed = Simulation::restore(revived, Rotor::new()).expect("restores");
+                let mut resumed = Simulation::restore(revived, Rotor::new()).expect("restores");
+                prop_assert_eq!(state_at(&mut resumed, second_cut), later);
                 prop_assert_eq!(fingerprint(&resumed.run()), baseline);
             }
         }

@@ -1,12 +1,13 @@
-//! Observability: record a run's event journal and print a per-job
-//! timeline plus a text Gantt chart of cluster usage.
+//! Observability: record a run's telemetry and print a per-job timeline
+//! with each job's LAS_MQ demotions, plus a text Gantt chart of cluster
+//! usage.
 //!
 //! ```text
 //! cargo run --release --example timeline
 //! ```
 
 use lasmq::core::{LasMq, LasMqConfig};
-use lasmq::simulator::{ClusterConfig, SimEvent, Simulation};
+use lasmq::simulator::{ClusterConfig, DecisionEvent, Simulation};
 use lasmq::workload::PumaWorkload;
 
 fn main() {
@@ -17,33 +18,40 @@ fn main() {
         .generate();
     let report = Simulation::builder()
         .cluster(ClusterConfig::new(4, 30))
-        .record_journal(true)
+        .record_telemetry(true)
         .jobs(jobs)
         .build(LasMq::new(LasMqConfig::paper_experiments()))
         .expect("valid setup")
         .run();
-    let journal = report.journal().expect("journal requested");
-    println!("{} events recorded\n", journal.len());
+    let telemetry = report.telemetry().expect("telemetry requested");
+    println!(
+        "{} samples, {} decisions recorded\n",
+        telemetry.samples().len(),
+        telemetry.decisions().len()
+    );
 
-    // Per-job lifecycle summary.
+    // Per-job lifecycle summary: the job-level facts come from the
+    // outcome, the demotions from the scheduler's decision log.
     for outcome in report.outcomes() {
-        let starts = journal
-            .for_job(outcome.id)
-            .filter(|e| matches!(e, SimEvent::TaskStarted { .. }))
-            .count();
-        let stages = journal
-            .for_job(outcome.id)
-            .filter(|e| matches!(e, SimEvent::StageCompleted { .. }))
-            .count();
+        let mut demotions = 0;
+        let mut queue = 0;
+        for decision in telemetry.decisions() {
+            if let DecisionEvent::JobDemoted { job, to_queue, .. } = *decision {
+                if job == outcome.id {
+                    demotions += 1;
+                    queue = to_queue;
+                }
+            }
+        }
         println!(
-            "{} [{}] submitted {} admitted {} finished {} — {} task starts, {} stage boundaries",
+            "{} [{}] submitted {} admitted {} finished {} — {} demotions, ended in queue {}",
             outcome.id,
             outcome.label,
             outcome.arrival,
             outcome.admitted_at.expect("admitted"),
             outcome.finish.expect("finished"),
-            starts,
-            stages + 1,
+            demotions,
+            queue,
         );
     }
 
