@@ -256,22 +256,168 @@ impl StageRt {
     fn remaining(&self) -> u32 {
         self.total - self.completed
     }
+}
 
-    /// Fraction of this stage completed, counting running tasks by the
-    /// elapsed fraction of their expected duration.
-    fn progress(&self, now: SimTime) -> f64 {
-        if self.total == 0 {
+/// [`RunIndex::slot_of`] entry of a task with no running attempt.
+const NOT_RUNNING: u32 = u32::MAX;
+
+/// The running attempts of one stage that share a span
+/// (`finish − started`): how many there are and the sum of their start
+/// instants, both exact milliseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpanGroup {
+    span_ms: u64,
+    count: u64,
+    started_sum_ms: u64,
+}
+
+impl SpanGroup {
+    /// Σ (now − started) over the group's attempts, in milliseconds.
+    fn elapsed_ms(&self, now: SimTime) -> u64 {
+        let now_sum_ms = self.count * now.as_millis();
+        debug_assert!(
+            now_sum_ms >= self.started_sum_ms,
+            "a running attempt starts after {now}"
+        );
+        now_sum_ms.saturating_sub(self.started_sum_ms)
+    }
+}
+
+/// Derived index over one job's current-stage running attempts, kept
+/// parallel to its [`StageRt`] and updated only where `running` changes.
+/// It finds a task's attempt in O(1) and evaluates stage progress in
+/// O(span groups) — usually one. It is never serialized: restore
+/// rebuilds it from `running` ([`RunIndex::of`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RunIndex {
+    /// Task index → position in `StageRt::running` (`NOT_RUNNING` if
+    /// idle), over the `next_unstarted` tasks issued so far.
+    slot_of: Vec<u32>,
+    /// Running attempts grouped by span, ascending.
+    groups: Vec<SpanGroup>,
+}
+
+impl RunIndex {
+    /// A from-scratch index of `st`'s running attempts.
+    fn of(st: &StageRt) -> Self {
+        let mut index = RunIndex {
+            slot_of: vec![NOT_RUNNING; st.next_unstarted],
+            groups: Vec::new(),
+        };
+        for (pos, r) in st.running.iter().enumerate() {
+            index.slot_of[r.task_idx] = pos as u32;
+            index.add_span(r.started, r.finish);
+        }
+        index
+    }
+
+    /// Empties the index for a stage with no task issued yet.
+    fn clear(&mut self) {
+        self.slot_of.clear();
+        self.groups.clear();
+    }
+
+    /// Position in `running` of `task`'s attempt, if it is running.
+    fn position(&self, task: usize) -> Option<usize> {
+        match self.slot_of.get(task) {
+            Some(&slot) if slot != NOT_RUNNING => Some(slot as usize),
+            _ => None,
+        }
+    }
+
+    fn add_span(&mut self, started: SimTime, finish: SimTime) {
+        let span_ms = finish.saturating_since(started).as_millis();
+        match self.groups.binary_search_by_key(&span_ms, |g| g.span_ms) {
+            Ok(at) => {
+                self.groups[at].count += 1;
+                self.groups[at].started_sum_ms += started.as_millis();
+            }
+            Err(at) => self.groups.insert(
+                at,
+                SpanGroup {
+                    span_ms,
+                    count: 1,
+                    started_sum_ms: started.as_millis(),
+                },
+            ),
+        }
+    }
+
+    fn remove_span(&mut self, started: SimTime, finish: SimTime) {
+        let span_ms = finish.saturating_since(started).as_millis();
+        let at = self
+            .groups
+            .binary_search_by_key(&span_ms, |g| g.span_ms)
+            .expect("removed attempt has an indexed span");
+        let group = &mut self.groups[at];
+        group.count -= 1;
+        group.started_sum_ms -= started.as_millis();
+        if group.count == 0 {
+            self.groups.remove(at);
+        }
+    }
+
+    /// Appends `attempt` to `st.running`. Tasks are issued in index
+    /// order, so `slot_of` grows to cover exactly the tasks issued so far;
+    /// its first growth reserves room for the whole stage, so a job
+    /// allocates slots only once it starts running, at most once per
+    /// stage.
+    fn push(&mut self, st: &mut StageRt, attempt: RunningTask) {
+        if attempt.task_idx >= self.slot_of.len() {
+            self.slot_of
+                .reserve_exact(st.total as usize - self.slot_of.len());
+            self.slot_of.resize(attempt.task_idx + 1, NOT_RUNNING);
+        }
+        self.slot_of[attempt.task_idx] = st.running.len() as u32;
+        self.add_span(attempt.started, attempt.finish);
+        st.running.push(attempt);
+    }
+
+    /// `st.running.swap_remove(pos)`, re-pointing the attempt moved into
+    /// `pos`.
+    fn swap_remove(&mut self, st: &mut StageRt, pos: usize) -> RunningTask {
+        let gone = st.running.swap_remove(pos);
+        self.slot_of[gone.task_idx] = NOT_RUNNING;
+        if let Some(moved) = st.running.get(pos) {
+            self.slot_of[moved.task_idx] = pos as u32;
+        }
+        self.remove_span(gone.started, gone.finish);
+        gone
+    }
+
+    /// Moves a running attempt's finish instant to `finish`.
+    fn refinish(&mut self, attempt: &mut RunningTask, finish: SimTime) {
+        self.remove_span(attempt.started, attempt.finish);
+        attempt.finish = finish;
+        self.add_span(attempt.started, finish);
+    }
+
+    /// Σ (now − started) over every running attempt, in milliseconds.
+    fn elapsed_ms(&self, now: SimTime) -> u64 {
+        self.groups.iter().map(|g| g.elapsed_ms(now)).sum()
+    }
+
+    /// Fraction of `st` completed, counting each running attempt by the
+    /// elapsed fraction of its span: `completed + Σ_groups min(count,
+    /// Σ elapsed / span)` over `total`. At pass time every attempt has
+    /// `started ≤ now < finish`, so no attempt's fraction reaches 1 and
+    /// the grouped sum equals the per-attempt one.
+    fn progress(&self, st: &StageRt, now: SimTime) -> f64 {
+        if st.total == 0 {
             return 1.0;
         }
-        let mut units = self.completed as f64;
-        for r in &self.running {
-            let span = r.finish.saturating_since(r.started).as_secs_f64();
-            if span > 0.0 {
-                let elapsed = now.saturating_since(r.started).as_secs_f64();
-                units += (elapsed / span).min(1.0);
+        let mut units = st.completed as f64;
+        for g in &self.groups {
+            if g.span_ms > 0 {
+                let elapsed = g.elapsed_ms(now);
+                debug_assert!(
+                    elapsed < g.count * g.span_ms,
+                    "a running attempt is past its finish at {now}"
+                );
+                units += (g.count as f64).min(elapsed as f64 / g.span_ms as f64);
             }
         }
-        (units / self.total as f64).min(1.0)
+        (units / st.total as f64).min(1.0)
     }
 }
 
@@ -323,6 +469,14 @@ impl Job {
             return Err(format!(
                 "task counters or indices do not fit a {tasks}-task stage"
             ));
+        }
+        // The run index maps each task to at most one running attempt.
+        let mut listed = vec![false; tasks];
+        let task_ids = st.running.iter().map(|r| r.task_idx);
+        for t in task_ids.chain(st.requeued.iter().copied()) {
+            if std::mem::replace(&mut listed[t], true) {
+                return Err(format!("task {t} is listed twice as running or requeued"));
+            }
         }
         let mut placed = st
             .running
@@ -397,14 +551,17 @@ impl JobCore {
 }
 
 /// Struct-of-arrays job storage, indexed by `JobId::index()`: the
-/// immutable specs, the hot scalar state ([`JobCore`]) and the
-/// current-stage task state ([`StageRt`]) live in three parallel arrays,
-/// so each engine path touches only the array it needs.
+/// immutable specs, the hot scalar state ([`JobCore`]), the
+/// current-stage task state ([`StageRt`]) and its derived [`RunIndex`]
+/// live in four parallel arrays, so each engine path touches only the
+/// arrays it needs.
 #[derive(Debug)]
 pub(crate) struct JobStore {
     specs: Vec<JobSpec>,
     core: Vec<JobCore>,
     stage: Vec<StageRt>,
+    /// Empty unless the job is active.
+    run: Vec<RunIndex>,
 }
 
 impl JobStore {
@@ -413,6 +570,7 @@ impl JobStore {
             specs: Vec::with_capacity(specs.len()),
             core: Vec::with_capacity(specs.len()),
             stage: Vec::with_capacity(specs.len()),
+            run: Vec::with_capacity(specs.len()),
         };
         for spec in specs {
             store.push_spec(spec);
@@ -424,6 +582,7 @@ impl JobStore {
         // The first stage's delay is re-anchored at admission time.
         self.stage
             .push(StageRt::new(&spec.stages()[0], SimTime::ZERO));
+        self.run.push(RunIndex::default());
         self.core.push(JobCore::new());
         self.specs.push(spec);
     }
@@ -432,9 +591,14 @@ impl JobStore {
         self.specs.len()
     }
 
-    /// Simultaneous disjoint borrows of one job's three slices.
-    fn split_mut(&mut self, i: usize) -> (&JobSpec, &mut JobCore, &mut StageRt) {
-        (&self.specs[i], &mut self.core[i], &mut self.stage[i])
+    /// Simultaneous disjoint borrows of one job's four slices.
+    fn split_mut(&mut self, i: usize) -> (&JobSpec, &mut JobCore, &mut StageRt, &mut RunIndex) {
+        (
+            &self.specs[i],
+            &mut self.core[i],
+            &mut self.stage[i],
+            &mut self.run[i],
+        )
     }
 
     fn current_stage(&self, i: usize) -> &StageSpec {
@@ -471,8 +635,15 @@ impl JobStore {
             specs: Vec::with_capacity(jobs.len()),
             core: Vec::with_capacity(jobs.len()),
             stage: Vec::with_capacity(jobs.len()),
+            run: Vec::with_capacity(jobs.len()),
         };
         for job in jobs {
+            let active = job.admitted_at.is_some() && job.finished_at.is_none();
+            store.run.push(if active {
+                RunIndex::of(&job.stage)
+            } else {
+                RunIndex::default()
+            });
             store.core.push(JobCore {
                 stage_index: job.stage_index,
                 held: job.held,
@@ -498,6 +669,10 @@ impl JobStore {
 /// allocator instead of the reuse pool.
 const STAGE_BUF_POOL_CAP: usize = 256;
 
+/// A finished job's retired stage buffers: `running`, `requeued`,
+/// `completed_durations` and the run index.
+type StageBufs = (Vec<RunningTask>, Vec<usize>, Vec<SimDuration>, RunIndex);
+
 /// Recycled buffers for the engine's steady state, so passes and stage
 /// advances stop allocating once warmed up.
 #[derive(Debug, Default)]
@@ -508,14 +683,16 @@ struct JobScratch {
     candidates: Vec<usize>,
     /// Stage buffers harvested from finished jobs, regrafted into newly
     /// admitted ones.
-    stage_bufs: Vec<(Vec<RunningTask>, Vec<usize>, Vec<SimDuration>)>,
+    stage_bufs: Vec<StageBufs>,
 }
 
 impl JobScratch {
     /// Retires a finished job's stage buffers into the pool. The job is
     /// done — nothing reads these again — so emptying them only trims
-    /// the serialized form of dead state.
-    fn harvest(&mut self, st: &mut StageRt) {
+    /// the serialized form of dead state. The run index is released even
+    /// when the pool is full.
+    fn harvest(&mut self, st: &mut StageRt, run: &mut RunIndex) {
+        let run = std::mem::take(run);
         if self.stage_bufs.len() >= STAGE_BUF_POOL_CAP {
             return;
         }
@@ -527,15 +704,16 @@ impl JobScratch {
         }
         debug_assert!(running.is_empty() && requeued.is_empty());
         durations.clear();
-        self.stage_bufs.push((running, requeued, durations));
+        self.stage_bufs.push((running, requeued, durations, run));
     }
 
     /// Grafts pooled buffers into a job about to be admitted.
-    fn graft(&mut self, st: &mut StageRt) {
-        if let Some((running, requeued, durations)) = self.stage_bufs.pop() {
+    fn graft(&mut self, st: &mut StageRt, run: &mut RunIndex) {
+        if let Some((running, requeued, durations, index)) = self.stage_bufs.pop() {
             st.running = running;
             st.requeued = requeued;
             st.completed_durations = durations;
+            *run = index;
         }
     }
 }
@@ -1081,6 +1259,31 @@ impl<S: Scheduler> Simulation<S> {
                     ),
                 );
             }
+            // The derived run index (attempt slots and span groups) must
+            // equal a rebuild from the running attempts.
+            if core.active() {
+                let rebuilt = RunIndex::of(st);
+                let run = &self.jobs.run[i];
+                if *run != rebuilt {
+                    let stale_slots = run.slot_of.len().abs_diff(rebuilt.slot_of.len())
+                        + run
+                            .slot_of
+                            .iter()
+                            .zip(&rebuilt.slot_of)
+                            .filter(|(a, b)| a != b)
+                            .count();
+                    report.record(
+                        InvariantKind::TaskAccounting,
+                        at,
+                        format!(
+                            "job {i} run index drifted from its running attempts: \
+                             {stale_slots} stale task slot(s), span groups {:?} \
+                             but {:?} rebuilt",
+                            run.groups, rebuilt.groups
+                        ),
+                    );
+                }
+            }
         }
         if finished != self.finished_count {
             report.record(
@@ -1553,14 +1756,15 @@ impl<S: Scheduler> Simulation<S> {
     fn admit(&mut self, id: JobId) {
         let now = self.now;
         {
-            let (spec, core, stage) = self.jobs.split_mut(id.index());
+            let (spec, core, stage, run) = self.jobs.split_mut(id.index());
             debug_assert!(!core.admitted(), "{id} admitted twice");
             core.admitted_at = Some(now);
             core.last_accrual = now;
             // Re-anchor the first stage's transfer delay at admission
             // time, reusing retired stage buffers where available.
-            self.scratch.graft(stage);
+            self.scratch.graft(stage, run);
             stage.reset_for(&spec.stages()[0], now);
+            run.clear();
             let ready_at = stage.ready_at;
             if ready_at > now {
                 self.events.push(ready_at, Event::Resched);
@@ -1606,10 +1810,9 @@ impl<S: Scheduler> Simulation<S> {
         if core.finished() || core.stage_index != stage.index() {
             return; // stale: the job moved on (kill or completion races)
         }
-        let Some(pos) = self.jobs.stage[i]
-            .running
-            .iter()
-            .position(|r| r.task_idx == task.index() && r.attempt == attempt)
+        let Some(pos) = self.jobs.run[i]
+            .position(task.index())
+            .filter(|&pos| self.jobs.stage[i].running[pos].attempt == attempt)
         else {
             return; // stale: killed or superseded by a speculative copy
         };
@@ -1619,8 +1822,8 @@ impl<S: Scheduler> Simulation<S> {
         self.mark_dirty(id);
         // Failed attempt: give back the containers, re-queue the task.
         if self.jobs.stage[i].running[pos].will_fail {
-            let (_, core, st) = self.jobs.split_mut(i);
-            let failed = st.running.swap_remove(pos);
+            let (_, core, st, run) = self.jobs.split_mut(i);
+            let failed = run.swap_remove(st, pos);
             core.held -= failed.containers;
             self.cluster.release(failed.node, failed.containers);
             if let Some(copy) = failed.spec_copy {
@@ -1636,8 +1839,8 @@ impl<S: Scheduler> Simulation<S> {
         }
         let stage_done;
         {
-            let (spec, core, st) = self.jobs.split_mut(i);
-            let running = st.running.swap_remove(pos);
+            let (spec, core, st, run) = self.jobs.split_mut(i);
+            let running = run.swap_remove(st, pos);
             core.held -= running.containers;
             self.cluster.release(running.node, running.containers);
             if let Some(copy) = running.spec_copy {
@@ -1660,7 +1863,7 @@ impl<S: Scheduler> Simulation<S> {
 
     fn advance_stage_or_finish(&mut self, id: JobId) {
         let now = self.now;
-        let (spec, core, st) = self.jobs.split_mut(id.index());
+        let (spec, core, st, run) = self.jobs.split_mut(id.index());
         debug_assert!(st.running.is_empty());
         debug_assert_eq!(
             core.held, 0,
@@ -1669,6 +1872,7 @@ impl<S: Scheduler> Simulation<S> {
         if core.stage_index + 1 < spec.stage_count() {
             core.stage_index += 1;
             st.reset_for(&spec.stages()[core.stage_index], now);
+            run.clear();
             core.attained_stage = Service::ZERO;
             let ready_at = st.ready_at;
             let new_stage = core.stage_index;
@@ -1679,7 +1883,7 @@ impl<S: Scheduler> Simulation<S> {
         } else {
             core.finished_at = Some(now);
             // The job is done: retire its stage buffers for reuse.
-            self.scratch.harvest(st);
+            self.scratch.harvest(st, run);
             self.finished_count += 1;
             self.finished_in_admitted += 1;
             self.views_need_compact = true;
@@ -1766,7 +1970,7 @@ impl<S: Scheduler> Simulation<S> {
         } else {
             spec_task.duration()
         };
-        let (_, core, st) = self.jobs.split_mut(i);
+        let (_, core, st, run) = self.jobs.split_mut(i);
         let attempt = core.attempt_counter;
         core.attempt_counter += 1;
         let failure = self.failures.roll(id, task_idx, attempt);
@@ -1776,16 +1980,19 @@ impl<S: Scheduler> Simulation<S> {
             );
         }
         let finish = now + duration;
-        st.running.push(RunningTask {
-            task_idx,
-            attempt,
-            node,
-            containers: spec_task.containers(),
-            started: now,
-            finish,
-            will_fail: failure.is_some(),
-            spec_copy: None,
-        });
+        run.push(
+            st,
+            RunningTask {
+                task_idx,
+                attempt,
+                node,
+                containers: spec_task.containers(),
+                started: now,
+                finish,
+                will_fail: failure.is_some(),
+                spec_copy: None,
+            },
+        );
         core.held += spec_task.containers();
         if core.first_alloc.is_none() {
             core.first_alloc = Some(now);
@@ -1827,15 +2034,16 @@ impl<S: Scheduler> Simulation<S> {
         let spec = &self.jobs.specs[i];
         let core = &self.jobs.core[i];
         let st = &self.jobs.stage[i];
+        let run = &self.jobs.run[i];
         let now = self.now;
         let stage = &spec.stages()[core.stage_index];
         let oracle = if self.expose_oracle {
+            // All tasks of a stage share one width, so the running
+            // attempts' service is that width times their summed elapsed.
             let total_size = spec.total_service();
-            let mut done = core.completed_service;
-            for r in &st.running {
-                let elapsed = now.saturating_since(r.started);
-                done += Service::accrued(r.containers, elapsed);
-            }
+            let elapsed = SimDuration::from_millis(run.elapsed_ms(now));
+            let done =
+                core.completed_service + Service::accrued(stage.containers_per_task(), elapsed);
             Some(OracleInfo {
                 total_size,
                 remaining: total_size - done,
@@ -1852,7 +2060,7 @@ impl<S: Scheduler> Simulation<S> {
             attained_stage: core.attained_stage,
             stage_index: core.stage_index,
             stage_count: spec.stage_count(),
-            stage_progress: st.progress(now),
+            stage_progress: run.progress(st, now),
             remaining_tasks: st.remaining(),
             unstarted_tasks: st.startable(now),
             containers_per_task: stage.containers_per_task(),
@@ -2017,7 +2225,7 @@ impl<S: Scheduler> Simulation<S> {
             if id.index() >= self.jobs.len() {
                 continue;
             }
-            let (spec, core, st) = self.jobs.split_mut(id.index());
+            let (spec, core, st, _) = self.jobs.split_mut(id.index());
             if !core.active() {
                 continue; // tolerate stale plan entries
             }
@@ -2083,8 +2291,8 @@ impl<S: Scheduler> Simulation<S> {
                 self.accrue_job(id);
                 self.update_util();
                 self.mark_dirty(id);
-                let (_, core, st) = self.jobs.split_mut(ji);
-                let killed = st.running.swap_remove(victim);
+                let (_, core, st, run) = self.jobs.split_mut(ji);
+                let killed = run.swap_remove(st, victim);
                 core.held -= killed.containers;
                 self.cluster.release(killed.node, killed.containers);
                 if let Some(copy) = killed.spec_copy {
@@ -2142,7 +2350,7 @@ impl<S: Scheduler> Simulation<S> {
                 };
                 self.accrue_job(id);
                 self.mark_dirty(id);
-                let (_, core, st) = self.jobs.split_mut(ji);
+                let (_, core, st, run) = self.jobs.split_mut(ji);
                 let running = &mut st.running[pos];
                 running.spec_copy = Some(SpecCopy { node, containers });
                 core.held += containers;
@@ -2162,7 +2370,7 @@ impl<S: Scheduler> Simulation<S> {
                     let attempt = core.attempt_counter;
                     core.attempt_counter += 1;
                     running.attempt = attempt;
-                    running.finish = copy_finish;
+                    run.refinish(running, copy_finish);
                     running.will_fail = false;
                     let stage = StageId::new(core.stage_index as u16);
                     let task = TaskId::new(running.task_idx as u32);
@@ -3095,6 +3303,165 @@ mod tests {
     }
 
     #[test]
+    fn mutation_corrupted_run_index_is_caught() {
+        // One bug per half of the index: two running tasks' slots swapped
+        // (a removal that forgot to re-point the moved attempt), and a
+        // span group's start sum off by 1 ms (a retimed attempt whose old
+        // span was never removed).
+        let corruptions: [fn(&StageRt, &mut RunIndex); 2] = [
+            |st, run| {
+                let (a, b) = (st.running[0].task_idx, st.running[1].task_idx);
+                run.slot_of.swap(a, b);
+            },
+            |_, run| run.groups[0].started_sum_ms += 1,
+        ];
+        for corrupt in corruptions {
+            let mut sim = Simulation::builder()
+                .cluster(ClusterConfig::single_node(4))
+                .check_invariants(true)
+                .jobs(vec![map_job(0, 8, 10)])
+                .build(Greedy)
+                .unwrap();
+            assert!(sim.run_until(SimTime::from_secs(5)), "run must be mid-way");
+            assert!(sim.invariants.as_ref().unwrap().is_clean());
+            assert_eq!(sim.jobs.stage[0].running.len(), 4);
+            corrupt(&sim.jobs.stage[0], &mut sim.jobs.run[0]);
+            sim.run_invariant_checks();
+            let inv = sim.invariants.as_ref().unwrap();
+            assert!(
+                inv.violations.iter().any(|v| {
+                    v.kind == InvariantKind::TaskAccounting && v.detail.contains("run index")
+                }),
+                "corrupted run index went undetected: {inv}"
+            );
+        }
+    }
+
+    /// Running attempts from `(elapsed_ms, span_ms)` pairs at instant `now`.
+    fn attempts_at(now: u64, shape: &[(u64, u64)]) -> Vec<RunningTask> {
+        shape
+            .iter()
+            .enumerate()
+            .map(|(task_idx, &(elapsed, span))| RunningTask {
+                task_idx,
+                attempt: task_idx as u32,
+                node: NodeId::new(0),
+                containers: 1,
+                started: SimTime::from_millis(now - elapsed),
+                finish: SimTime::from_millis(now - elapsed + span),
+                will_fail: false,
+                spec_copy: None,
+            })
+            .collect()
+    }
+
+    /// A `tasks`-task stage with none done, `attempts` pushed in order.
+    fn pushed(tasks: usize, attempts: Vec<RunningTask>) -> (StageRt, RunIndex) {
+        let mut st = StageRt {
+            total: tasks as u32,
+            next_unstarted: tasks,
+            completed: 0,
+            running: Vec::new(),
+            requeued: Vec::new(),
+            completed_durations: Vec::new(),
+            ready_at: SimTime::ZERO,
+        };
+        let mut run = RunIndex::default();
+        for attempt in attempts {
+            run.push(&mut st, attempt);
+        }
+        (st, run)
+    }
+
+    /// Deterministic Fisher–Yates shuffle driven by `seed`.
+    fn shuffled<T>(mut items: Vec<T>, seed: u64) -> Vec<T> {
+        let mut z = seed;
+        for i in (1..items.len()).rev() {
+            z = splitmix64(z);
+            items.swap(i, (z % (i as u64 + 1)) as usize);
+        }
+        items
+    }
+
+    mod closed_form {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `(span pick, random span, raw elapsed)`: picks below 4 reuse a
+        /// few fixed spans so attempts share span groups; the rest draw a
+        /// span of their own. Elapsed lands in `[0, span)`.
+        fn attempt() -> impl Strategy<Value = (u64, u64)> {
+            (0u64..8, 1u64..100_000, 0u64..u32::MAX as u64).prop_map(|(pick, free, raw)| {
+                let span = match pick {
+                    0 => 1,
+                    1 => 500,
+                    2 => 7_000,
+                    3 => 60_000,
+                    _ => free,
+                };
+                (raw % span, span)
+            })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The grouped closed form agrees with its definition
+            /// (Σ elapsed/span over the attempts) to 1e-12 relative, and
+            /// is bit-identical whatever order attempts were pushed and
+            /// swap-removed in.
+            #[test]
+            fn grouped_progress_matches_its_definition(
+                shape in prop::collection::vec(attempt(), 1..64),
+                now in 100_000u64..10_000_000_000,
+                push_seed in 0u64..u64::MAX,
+                removals in prop::collection::vec(0usize..1_000, 0..32),
+            ) {
+                let n = shape.len();
+                let at = SimTime::from_millis(now);
+                let attempts = attempts_at(now, &shape);
+                let definition: f64 = shape
+                    .iter()
+                    .map(|&(elapsed, span)| elapsed as f64 / span as f64)
+                    .sum::<f64>()
+                    / n as f64;
+
+                let in_order = pushed(n, attempts.clone());
+                let mut reordered = pushed(n, shuffled(attempts, push_seed));
+                let grouped = in_order.1.progress(&in_order.0, at);
+                prop_assert!(
+                    (grouped - definition).abs() <= 1e-12 * definition,
+                    "grouped {grouped} vs definition {definition}"
+                );
+                prop_assert_eq!(in_order.1.clone(), RunIndex::of(&in_order.0));
+                prop_assert_eq!(reordered.1.clone(), RunIndex::of(&reordered.0));
+                prop_assert_eq!(
+                    reordered.1.progress(&reordered.0, at).to_bits(),
+                    grouped.to_bits()
+                );
+
+                // Swap-remove a prefix of the removal picks; the survivors'
+                // index must equal a from-scratch one, and their progress
+                // one pushed fresh in yet another order.
+                let (st, run) = &mut reordered;
+                for &pick in &removals {
+                    if st.running.is_empty() {
+                        break;
+                    }
+                    let pos = pick % st.running.len();
+                    run.swap_remove(st, pos);
+                }
+                prop_assert_eq!(run.clone(), RunIndex::of(st));
+                let fresh = pushed(n, shuffled(st.running.clone(), push_seed ^ 1));
+                prop_assert_eq!(
+                    fresh.1.progress(&fresh.0, at).to_bits(),
+                    run.progress(st, at).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn scheduler_consistency_errors_become_violations() {
         /// Greedy allocation plus an always-failing self check.
         struct BrokenQueues;
@@ -3220,6 +3587,20 @@ mod tests {
     fn restore_refuses_task_state_that_does_not_fit_the_stage() {
         assert_refused(|s| s.jobs[1].stage.running[0].task_idx = 4, "4-task stage");
         assert_refused(|s| s.jobs[0].stage.next_unstarted = 3, "2-task stage");
+    }
+
+    #[test]
+    fn restore_refuses_a_task_listed_twice() {
+        let twice = |s: &mut SimSnapshot| {
+            let running = &mut s.jobs[1].stage.running;
+            running[1].task_idx = running[0].task_idx;
+        };
+        assert_refused(twice, "listed twice");
+        let requeued = |s: &mut SimSnapshot| {
+            let t = s.jobs[1].stage.running[0].task_idx;
+            s.jobs[1].stage.requeued.push(t);
+        };
+        assert_refused(requeued, "listed twice");
     }
 
     #[test]

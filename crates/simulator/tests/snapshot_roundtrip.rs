@@ -139,6 +139,97 @@ fn restore_after_json_roundtrip_is_byte_identical() {
     assert_eq!(fingerprint(&resumed.run()), baseline);
 }
 
+/// Looks `key` up in a JSON object.
+fn field<'a>(value: &'a serde::Value, key: &str) -> &'a serde::Value {
+    let entries = value.as_object().expect("a JSON object");
+    &entries.iter().find(|(k, _)| k == key).expect(key).1
+}
+
+fn uint(value: &serde::Value) -> u64 {
+    match value {
+        serde::Value::UInt(n) => *n,
+        other => panic!("expected an unsigned integer, got {}", other.kind()),
+    }
+}
+
+/// The most distinct attempt spans (`finish − started`) any one job's
+/// current stage holds in the snapshot `json`, and the speculative wins
+/// so far.
+fn span_groups_and_spec_wins(json: &str) -> (usize, u64) {
+    let snap: serde::Value = serde_json::from_str(json).expect("snapshot JSON parses");
+    let jobs = field(&snap, "jobs").as_array().expect("jobs array");
+    let groups = jobs
+        .iter()
+        .map(|job| {
+            let running = field(field(job, "stage"), "running");
+            let mut spans: Vec<u64> = running
+                .as_array()
+                .expect("running array")
+                .iter()
+                .map(|r| uint(field(r, "finish")) - uint(field(r, "started")))
+                .collect();
+            spans.sort_unstable();
+            spans.dedup();
+            spans.len()
+        })
+        .max()
+        .unwrap_or(0);
+    (
+        groups,
+        uint(field(field(&snap, "stats"), "speculative_won")),
+    )
+}
+
+#[test]
+fn restore_mid_stage_with_mixed_spans_is_byte_identical() {
+    // A slow node stretches the attempts placed on it, failures truncate
+    // others and a speculative win moves an attempt's finish, so a stage
+    // runs attempts of several spans at once: restore must rebuild the
+    // run index those spans are grouped in, not just the attempt list.
+    let build = || {
+        Simulation::builder()
+            .cluster(ClusterConfig::new(3, 4).with_heterogeneity(1, 3.0))
+            .admission_limit(3)
+            .failures(FailureConfig::with_probability(0.1, 7))
+            .speculation(SpeculationConfig::enabled(2, 1.3))
+            .record_telemetry(true)
+            .jobs(vec![
+                staged_job(0, 12, 6, 3),
+                staged_job(2, 9, 4, 2),
+                staged_job(4, 16, 5, 4),
+                staged_job(9, 6, 8, 0),
+                staged_job(15, 10, 3, 2),
+            ])
+            .build(Rotor::new())
+            .expect("valid setup")
+    };
+
+    // The first whole second at which a stage holds two or more span
+    // groups after at least one speculative win.
+    let mut probe = build();
+    let cut = (1..200u64)
+        .map(SimTime::from_secs)
+        .find(|&t| {
+            let json = state_at(&mut probe, t).expect("still running");
+            let (groups, wins) = span_groups_and_spec_wins(&json);
+            groups >= 2 && wins > 0
+        })
+        .expect("a cut with mixed spans after a speculative win");
+
+    let second_cut = cut + SimDuration::from_secs(7);
+    let mut uninterrupted = build();
+    let later = state_at(&mut uninterrupted, second_cut).expect("running at the second cut");
+    let baseline = fingerprint(&uninterrupted.run());
+
+    let mut sim = build();
+    let json = sim.snapshot_at(cut).expect("mid-run").to_json();
+    drop(sim);
+    let revived = lasmq_simulator::SimSnapshot::from_json(&json).expect("parses");
+    let mut resumed = Simulation::restore(revived, Rotor::new()).expect("restores");
+    assert_eq!(state_at(&mut resumed, second_cut), Some(later));
+    assert_eq!(fingerprint(&resumed.run()), baseline);
+}
+
 #[test]
 fn snapshots_carrying_the_retired_journal_key_still_restore() {
     // Written by the engine before its event journal was removed, at 15 s

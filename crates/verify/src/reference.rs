@@ -206,19 +206,46 @@ impl RefJob {
         self.last_accrual = now;
     }
 
+    /// The engine's grouped closed form, recomputed from scratch: running
+    /// attempts are sorted by span (`finish − started`, ms) and each span
+    /// group contributes `min(count, Σ elapsed / span)` — the exact
+    /// integer numerator divided once, in ascending span order.
     fn stage_progress(&self, now: SimTime) -> f64 {
         if self.stage.total == 0 {
             return 1.0;
         }
+        let mut spans: Vec<(u64, u64)> = self
+            .stage
+            .running
+            .iter()
+            .map(|r| {
+                (
+                    r.finish.saturating_since(r.started).as_millis(),
+                    now.saturating_since(r.started).as_millis(),
+                )
+            })
+            .collect();
+        spans.sort_unstable();
         let mut units = self.stage.completed as f64;
-        for r in &self.stage.running {
-            let span = r.finish.saturating_since(r.started).as_secs_f64();
-            if span > 0.0 {
-                let elapsed = now.saturating_since(r.started).as_secs_f64();
-                units += (elapsed / span).min(1.0);
+        for group in spans.chunk_by(|a, b| a.0 == b.0) {
+            let span = group[0].0;
+            if span > 0 {
+                let elapsed: u64 = group.iter().map(|&(_, e)| e).sum();
+                units += (group.len() as f64).min(elapsed as f64 / span as f64);
             }
         }
         (units / self.stage.total as f64).min(1.0)
+    }
+
+    /// Σ (now − started) over the running attempts.
+    fn running_elapsed(&self, now: SimTime) -> SimDuration {
+        SimDuration::from_millis(
+            self.stage
+                .running
+                .iter()
+                .map(|r| now.saturating_since(r.started).as_millis())
+                .sum(),
+        )
     }
 }
 
@@ -605,12 +632,10 @@ impl ReferenceSimulation {
         let now = self.now;
         let stage = job.current_stage();
         let oracle = if self.expose_oracle {
+            // Every task of a stage has the stage's width.
             let total_size = job.spec.total_service();
-            let mut done = job.completed_service;
-            for r in &job.stage.running {
-                let elapsed = now.saturating_since(r.started);
-                done += Service::accrued(r.containers, elapsed);
-            }
+            let done = job.completed_service
+                + Service::accrued(stage.containers_per_task(), job.running_elapsed(now));
             Some(OracleInfo {
                 total_size,
                 remaining: total_size - done,

@@ -26,7 +26,9 @@ use lasmq_campaign::SchedulerKind;
 use lasmq_schedulers::LinearPolicy;
 use lasmq_simulator::{JobSpec, SimDuration};
 use lasmq_verify::{run_differential, DiffCell};
-use lasmq_workload::{AdversarialScenario, AdversarialWorkload, FacebookTrace, UniformWorkload};
+use lasmq_workload::{
+    AdversarialScenario, AdversarialWorkload, FacebookTrace, ScaleTrace, UniformWorkload,
+};
 
 fn lineup() -> Vec<SchedulerKind> {
     let mut kinds = SchedulerKind::paper_lineup_simulations();
@@ -132,6 +134,49 @@ fn paper_environment_cells_have_identical_traces() {
         }
     }
     assert_eq!(cells_run, 30);
+    assert!(
+        failures.is_empty(),
+        "{} dirty cells:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// The scale trace's regime, downscaled: 300-job slices on 25 nodes × 8
+/// containers — multi-node placement, hundreds of running attempts per
+/// job, most of them 0.5 s — 3 seeds × 5 schedulers = 15 cells, all
+/// clean. This is where the engine's per-job run index (attempt lookup
+/// and grouped stage progress) carries the most attempts per job.
+#[test]
+fn scale_slice_cells_have_identical_traces() {
+    let mut cells_run = 0usize;
+    let mut failures: Vec<String> = Vec::new();
+    for seed in 0..3u64 {
+        let jobs = ScaleTrace::new()
+            .jobs(300)
+            .nodes(25, 8)
+            .seed(seed)
+            .generate();
+        for kind in lineup() {
+            let name = format!("scale/s{seed}/{kind}");
+            let cell = DiffCell::new(&name, jobs.clone(), kind).cluster(25, 8);
+            let result = run_differential(&cell).expect("cell builds");
+            cells_run += 1;
+            if result.completed != result.jobs {
+                failures.push(format!(
+                    "{name}: {}/{} jobs completed",
+                    result.completed, result.jobs
+                ));
+            }
+            if !result.divergences.is_empty() {
+                failures.push(format!("{name}: {:?}", result.divergences));
+            }
+            if !result.invariants.is_clean() {
+                failures.push(format!("{name}: {}", result.invariants));
+            }
+        }
+    }
+    assert_eq!(cells_run, 15);
     assert!(
         failures.is_empty(),
         "{} dirty cells:\n{}",
